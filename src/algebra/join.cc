@@ -86,7 +86,7 @@ Result<HierarchicalRelation> JoinOn(
           Status chunk_status;
           left.ForEachLiveInChunk(c, [&](TupleId lid) {
             if (!chunk_status.ok()) return;
-            Item litem = left.ItemAt(lid);
+            const Item& litem = left.ItemAt(lid);
             for (const Item& ritem : right_items) {
               // Per-join-attribute alignment choices.
               std::vector<std::vector<NodeId>> choices(on.size());

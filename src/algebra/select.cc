@@ -38,7 +38,7 @@ Result<HierarchicalRelation> SelectEquals(const HierarchicalRelation& relation,
       [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
         for (size_t c = lo; c < hi; ++c) {
           relation.ForEachLiveInChunk(c, [&](TupleId id) {
-            Item item = relation.ItemAt(id);
+            const Item& item = relation.ItemAt(id);
             for (NodeId m : h->MaximalCommonDescendants(item[attr], node)) {
               Item clamped = item;
               clamped[attr] = m;

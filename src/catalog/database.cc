@@ -74,7 +74,7 @@ Status Database::EliminateNode(std::string_view hierarchy, NodeId node) {
     for (size_t i = 0; i < schema.size(); ++i) {
       if (schema.hierarchy(i) != h) continue;
       for (TupleId id : relation->TupleIds()) {
-        if (relation->tuple(id).item[i] == node) {
+        if (relation->Component(id, i) == node) {
           return Status::IntegrityViolation(
               StrCat("node '", h->NodeName(node), "' is referenced by a "
                      "tuple of relation '", rel_name,
@@ -100,13 +100,6 @@ std::vector<std::string> Database::HierarchyNames() const {
 Result<HierarchicalRelation*> Database::CreateRelation(
     std::string_view name,
     const std::vector<std::pair<std::string, std::string>>& attributes) {
-  return CreateRelation(name, attributes, DefaultStorageKind());
-}
-
-Result<HierarchicalRelation*> Database::CreateRelation(
-    std::string_view name,
-    const std::vector<std::pair<std::string, std::string>>& attributes,
-    StorageKind storage) {
   if (name.empty()) {
     return Status::InvalidArgument("relation name must not be empty");
   }
@@ -125,7 +118,7 @@ Result<HierarchicalRelation*> Database::CreateRelation(
     HIREL_RETURN_IF_ERROR(schema.Append(attr_name, hierarchy));
   }
   auto relation = std::make_unique<HierarchicalRelation>(
-      std::string(name), std::move(schema), storage);
+      std::string(name), std::move(schema));
   HierarchicalRelation* raw = relation.get();
   relations_.emplace(std::string(name), std::move(relation));
   HIREL_LOG(obs::LogLevel::kInfo, "catalog", "create_relation",

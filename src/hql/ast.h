@@ -130,7 +130,6 @@ struct ShowStmt {
     kMetrics,      // SHOW METRICS [JSON|PROMETHEUS]: the metrics registry
     kTrace,        // SHOW TRACE [JSON]: the last query's span tree
     kLog,          // SHOW LOG [JSON]: the in-memory event-log ring
-    kStorage,      // SHOW STORAGE: per-relation layout and byte breakdown
     kQueries,      // SHOW QUERIES [JSON]: the query-history ring, newest first
     kTelemetry,    // SHOW TELEMETRY [JSON]: the sampler's history rings
     kAlerts,       // SHOW ALERTS [JSON]: every alert rule and its state
@@ -248,12 +247,6 @@ struct ExportTraceStmt {
   std::string path;
 };
 
-/// SET STORAGE ROW|COLUMNAR: layout for relations created from here on
-/// (existing relations keep theirs).
-struct SetStorageStmt {
-  std::string kind;
-};
-
 /// SET INCREMENTAL ON|OFF: toggle incremental maintenance — the
 /// subsumption-graph cache's journal patch path, delta consolidation, and
 /// the DERIVE fixpoint's extension-append fast path. Results are identical
@@ -318,8 +311,8 @@ using Statement =
                  SetThreadsStmt, RuleStmt, DeriveStmt, CountStmt,
                  ShowBindingStmt, EliminateStmt, ExplainPlanStmt,
                  ResetMetricsStmt, SetSlowQueryStmt, SetLogStmt,
-                 ExportTraceStmt, SetStorageStmt, SetIncrementalStmt,
-                 SetTelemetryStmt, CreateAlertStmt, DropAlertStmt,
+                 ExportTraceStmt, SetIncrementalStmt, SetTelemetryStmt,
+                 CreateAlertStmt, DropAlertStmt,
                  ExportDiagnosticsStmt, SetDiagnosticsDirStmt,
                  SetWatchdogStmt>;
 

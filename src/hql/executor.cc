@@ -114,9 +114,6 @@ struct TraceName {
   const char* operator()(const ExportTraceStmt&) const {
     return "export trace";
   }
-  const char* operator()(const SetStorageStmt&) const {
-    return "set storage";
-  }
   const char* operator()(const SetIncrementalStmt&) const {
     return "set incremental";
   }
@@ -331,7 +328,6 @@ Result<std::string> Executor::ExecuteTracked(const Statement& statement) {
   stats.subsumption_probes = pending_.subsumption_probes;
   stats.peak_tracked_bytes = obs::TrackedPeakBytes();
   stats.plan_digest = pending_.digest;
-  stats.storage = StorageKindToString(DefaultStorageKind());
   stats.threads = ThreadPool::EffectiveThreads(options_.threads);
   history_.Append(std::move(stats));
   DrainAlertCaptures();
@@ -353,7 +349,6 @@ Result<std::string> Executor::WriteDiagnostics(const std::string& path,
   ctx.cause = cause;
   ctx.config = {
       {"threads", StrCat(ThreadPool::EffectiveThreads(options_.threads))},
-      {"storage", StorageKindToString(DefaultStorageKind())},
       {"incremental", incremental_ ? "on" : "off"},
       {"preemption", PreemptionModeToString(options_.preemption)},
       {"telemetry", telemetry_.running() ? "on" : "off"},
@@ -861,7 +856,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
           return out;
         }
         case ShowStmt::What::kMetrics: {
-          // Sync engine-internal stats (cache, pool, storage, process)
+          // Sync engine-internal stats (cache, pool, process)
           // into gauges so one rendering covers the whole engine; the
           // sys.metrics provider runs the same sync, so both views agree.
           obs::SyncEngineGauges(db);
@@ -924,7 +919,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
                   ",\"probes\":", q.subsumption_probes,
                   ",\"peak_bytes\":", q.peak_tracked_bytes,
                   ",\"digest\":\"", obs::JsonEscape(q.plan_digest),
-                  "\",\"storage\":\"", obs::JsonEscape(q.storage),
                   "\",\"threads\":", q.threads, "}");
             }
             out += "]\n";
@@ -944,7 +938,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
             if (!q.plan_digest.empty()) {
               out += StrCat(" digest=", q.plan_digest);
             }
-            out += StrCat(" storage=", q.storage, " threads=", q.threads);
+            out += StrCat(" threads=", q.threads);
             if (!q.ok) out += " FAILED";
             out += StrCat("  ", q.statement, "\n");
           }
@@ -1084,29 +1078,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
                   "us p99=",
                   obs::WaitEventRegistry::SiteQuantileNs(site, 0.99) / 1000,
                   "us\n");
-            }
-          }
-          return out;
-        }
-        case ShowStmt::What::kStorage: {
-          std::string out =
-              StrCat("storage default: ",
-                     StorageKindToString(DefaultStorageKind()),
-                     " (applies to new relations)\n");
-          for (const std::string& name : db.RelationNames()) {
-            HIREL_ASSIGN_OR_RETURN(const HierarchicalRelation* relation,
-                                   std::as_const(db).GetRelation(name));
-            out += StrCat("  ", name, " [",
-                          StorageKindToString(relation->storage_kind()),
-                          "] ", relation->size(), " live, ",
-                          relation->num_chunks(), " chunk(s), ~",
-                          relation->ApproxBytes(), " bytes\n");
-            for (const StorageColumnInfo& col : relation->ColumnInfo()) {
-              out += StrCat("    ", col.name, ": ", col.bytes, " bytes");
-              if (col.dict_entries > 0) {
-                out += StrCat(" (dict ", col.dict_entries, ")");
-              }
-              out += "\n";
             }
           }
           return out;
@@ -1331,20 +1302,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       if (stmt.threshold_ms < 0) return std::string("slow-query log: off\n");
       return StrCat("slow-query log: threshold ", stmt.threshold_ms,
                     " ms\n");
-    }
-
-    Result<std::string> operator()(const SetStorageStmt& stmt) {
-      std::optional<StorageKind> kind = ParseStorageKind(stmt.kind);
-      if (!kind.has_value()) {
-        return Status::InvalidArgument(
-            StrCat("unknown storage kind '", stmt.kind,
-                   "' (expected ROW or COLUMNAR)"));
-      }
-      SetDefaultStorageKind(*kind);
-      HIREL_LOG(obs::LogLevel::kInfo, "catalog", "set_storage",
-                {{"kind", StorageKindToString(*kind)}});
-      return StrCat("storage: ", StorageKindToString(*kind),
-                    " (applies to new relations)\n");
     }
 
     Result<std::string> operator()(const SetIncrementalStmt& stmt) {

@@ -434,8 +434,6 @@ class Parser {
       } else if (AcceptKeyword("LOG")) {
         stmt.what = ShowStmt::What::kLog;
         stmt.json = AcceptKeyword("JSON");
-      } else if (AcceptKeyword("STORAGE")) {
-        stmt.what = ShowStmt::What::kStorage;
       } else if (AcceptKeyword("QUERIES")) {
         stmt.what = ShowStmt::What::kQueries;
         stmt.json = AcceptKeyword("JSON");
@@ -459,7 +457,7 @@ class Parser {
       } else {
         return Error(
             "expected HIERARCHY, RELATION, HIERARCHIES, RELATIONS, RULES, "
-            "METRICS, TRACE, LOG, STORAGE, QUERIES, TELEMETRY, ALERTS, "
+            "METRICS, TRACE, LOG, QUERIES, TELEMETRY, ALERTS, "
             "HEALTH, or WAITS");
       }
       return Statement(std::move(stmt));
@@ -570,11 +568,6 @@ class Parser {
       if (AcceptKeyword("LOG")) {
         SetLogStmt stmt;
         HIREL_ASSIGN_OR_RETURN(stmt.level, ExpectIdentifier());
-        return Statement(std::move(stmt));
-      }
-      if (AcceptKeyword("STORAGE")) {
-        SetStorageStmt stmt;
-        HIREL_ASSIGN_OR_RETURN(stmt.kind, ExpectIdentifier());
         return Statement(std::move(stmt));
       }
       if (AcceptKeyword("INCREMENTAL")) {

@@ -35,10 +35,8 @@ std::string HelpText() {
     COMPRESS r;                                  -- re-encode minimally
     SET PREEMPTION offpath;                      -- or onpath / none
     SET THREADS 4;                               -- parallel kernels; 0 = auto, 1 = serial
-    SET STORAGE row|columnar;                    -- layout for new relations
     SET INCREMENTAL on|off;                      -- journal-patched graphs, delta
                                                  -- consolidate, semi-naive DERIVE
-    SHOW STORAGE;                                -- per-relation layout and bytes
 
   rules (Datalog layer)
     RULE 'head(?x) :- body(?x), not other(?x).';
@@ -85,8 +83,8 @@ std::string HelpText() {
     sys.metrics    -- every counter/gauge/histogram; name is hierarchical,
                    -- so SELECT ... WHERE name = ALL pool covers the subtree
     sys.log        -- event-log ring; severity hierarchy debug>info>warn>error
-    sys.relations  -- stored + virtual relations with storage kind and bytes
-    sys.columns    -- per-column byte and dictionary breakdown
+    sys.relations  -- stored + virtual relations with tuples, chunks and bytes
+    sys.columns    -- per-column byte breakdown of every stored relation
     sys.cache      -- subsumption-cache entries with version stamps
     sys.pool       -- per-thread busy time
     sys.queries    -- per-query accounting (wall, wait, rows, probes, peak bytes)

@@ -193,18 +193,17 @@ Status ApplyRecord(Database& db, std::string_view payload) {
                                decoder.GetLengthPrefixedString());
         attributes.emplace_back(std::move(attr), std::move(hierarchy));
       }
-      // Records written before storage kinds existed end here; they replay
-      // with the session default.
-      StorageKind storage = DefaultStorageKind();
+      // A trailing storage tag follows: 0 today, 1 (the former columnar
+      // layout) from earlier builds. Both replay into the one tuple store;
+      // records older still end before the tag.
       if (!decoder.done()) {
         HIREL_ASSIGN_OR_RETURN(uint8_t tag, decoder.GetFixed8());
         if (tag > 1) {
           return Status::Corruption(
               StrCat("unknown storage tag ", int{tag}, " in WAL record"));
         }
-        storage = static_cast<StorageKind>(tag);
       }
-      return db.CreateRelation(name, attributes, storage).status();
+      return db.CreateRelation(name, attributes).status();
     }
     case WalOp::kInsertTuple:
     case WalOp::kEraseTuple: {
@@ -506,7 +505,7 @@ Result<HierarchicalRelation*> LoggedDatabase::CreateRelation(
     PutLengthPrefixedString(&record, attr);
     PutLengthPrefixedString(&record, hierarchy);
   }
-  PutFixed8(&record, static_cast<uint8_t>(relation->storage_kind()));
+  PutFixed8(&record, 0);  // storage tag, kept for format compatibility
   HIREL_RETURN_IF_ERROR(wal_->Append(record));
   return relation;
 }

@@ -72,7 +72,7 @@ struct DiagnosticsContext {
   const TelemetrySampler* telemetry = nullptr;
   const QueryHistoryRing* history = nullptr;
   const AlertManager* alerts = nullptr;
-  /// Session configuration (threads, storage, telemetry state, ...).
+  /// Session configuration (threads, telemetry state, ...).
   std::vector<std::pair<std::string, std::string>> config;
   /// What prompted the capture: "statement" or "alert:<name>".
   std::string cause = "statement";

@@ -16,14 +16,14 @@
 //   sys.relations  (relation, storage, tuples, chunks, bytes)   stored and
 //                  virtual relations (virtual rows have storage
 //                  "virtual" and provider row-count hints).
-//   sys.columns    (relation, column, col_bytes, dict_entries)   per-column
-//                  byte breakdown of every stored relation.
+//   sys.columns    (relation, column, col_bytes)   per-column byte
+//                  breakdown of every stored relation.
 //   sys.cache      (relation, version, graph_nodes)   SubsumptionCache
 //                  entries with their version stamps.
 //   sys.pool       (thread, busy_ms)   per-thread busy time of the shared
 //                  worker pool ("caller", "worker0", ...).
 //   sys.queries    (id, kind, statement, wall_us, wait_us, rows_in,
-//                  rows_out, probes, peak_bytes, digest, storage, threads)
+//                  rows_out, probes, peak_bytes, digest, threads)
 //                  the executor's bounded query-history ring; wait_us is
 //                  the attributed wait share of wall_us.
 //   sys.waits      (site, wait_class, waits, total_us, max_us)   wait-event
@@ -72,7 +72,7 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                            const AlertManager* alerts = nullptr);
 
 /// Refreshes the engine gauges derived from live structures — subsumption
-/// cache stats, thread-pool state, per-storage-kind relation/byte totals,
+/// cache stats, thread-pool state,
 /// and the process gauges — so one rendering (SHOW METRICS) or scan
 /// (sys.metrics) reflects current state. The executor adds its own
 /// session gauges (exec.threads) on top.

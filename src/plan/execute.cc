@@ -153,7 +153,6 @@ class Walker {
             std::as_const(db_).GetRelation(node.relation);
         if (rel.ok()) {
           if (ns != nullptr) {
-            ns->storage = StorageKindToString((*rel)->storage_kind());
             ns->chunks = (*rel)->num_chunks();
           }
           if (stats_ != nullptr) stats_->rows_scanned += (*rel)->size();
@@ -169,7 +168,6 @@ class Walker {
         if (provider == nullptr) return rel.status();
         HIREL_ASSIGN_OR_RETURN(Slot slot, Own(provider->Materialize()));
         if (ns != nullptr) {
-          ns->storage = StorageKindToString(slot.rel->storage_kind());
           ns->chunks = slot.rel->num_chunks();
           ns->virtual_scan = true;
         }

@@ -168,10 +168,12 @@ RandomDatabase::RandomDatabase(uint64_t seed,
     if (!inserted.status().IsConflict()) continue;  // duplicate etc.: skip
     bool resolved = true;
     for (TupleId other : relation_->TupleIds()) {
-      const HTuple& o = relation_->tuple(other);
-      if (o.truth == truth) continue;
-      if (ItemComparable(relation_->schema(), o.item, item)) continue;
-      Status s = ResolveConflict(*relation_, item, o.item, truth);
+      if (relation_->TruthOf(other) == truth) continue;
+      // A copy: ResolveConflict inserts into relation_, which may move
+      // every stored tuple.
+      const Item o = relation_->ItemAt(other);
+      if (ItemComparable(relation_->schema(), o, item)) continue;
+      Status s = ResolveConflict(*relation_, item, o, truth);
       if (!s.ok()) {
         resolved = false;
         break;

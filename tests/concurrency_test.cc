@@ -13,6 +13,7 @@
 
 #include "algebra/select.h"
 #include "algebra/setops.h"
+#include "common/thread_pool.h"
 #include "core/explicate.h"
 #include "core/inference.h"
 #include "core/subsumption_cache.h"
@@ -366,7 +367,12 @@ TEST(ConcurrencyTest, AlertEvaluationRacesRuleChurnAndReaders) {
   });
 
   churner.join();
-  std::this_thread::yield();
+  // The churner can finish before the writer has registered race.hot or
+  // appended a query, most often on a loaded host. Both alerts need a tick
+  // that starts after the writer's first append, so wait for one.
+  while (ring.total_recorded() == 0) std::this_thread::yield();
+  const uint64_t seen = sampler.ticks();
+  while (sampler.ticks() < seen + 2) std::this_thread::yield();
   done.store(true, std::memory_order_release);
   ticker.join();
   writer.join();
@@ -425,6 +431,28 @@ TEST(ConcurrencyTest, ParallelReadersOfPatchedCacheEntry) {
     ASSERT_TRUE(f.flies->Erase(added).ok());
   }
   EXPECT_GT(cache.stats().patches, 0u);
+}
+
+TEST(ConcurrencyTest, BackToBackShortRegionsDoNotOutliveTheirCaller) {
+  // Each ParallelFor keeps its Region on the caller's stack, and the next
+  // call reuses that stack slot. A worker that still touched the previous
+  // region (its done mutex) after the caller returned would race with the
+  // next region's construction, which ThreadSanitizer reports.
+  ThreadPool pool(3);
+  ParallelOptions options;
+  options.threads = 4;
+  std::atomic<size_t> total{0};
+  constexpr size_t kRegions = 2000;
+  for (size_t r = 0; r < kRegions; ++r) {
+    ASSERT_TRUE(pool.ParallelFor(8, options,
+                                 [&](size_t, size_t begin, size_t end) {
+                                   total.fetch_add(end - begin,
+                                                   std::memory_order_relaxed);
+                                   return Status::OK();
+                                 })
+                    .ok());
+  }
+  EXPECT_EQ(total.load(), kRegions * 8);
 }
 
 }  // namespace

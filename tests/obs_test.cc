@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/tuple_store.h"
 #include "hql/executor.h"
 #include "io/wal.h"
 #include "obs/export.h"
@@ -618,6 +617,9 @@ TEST(ExecutorObsTest, ExplainAnalyzeReportsActuals) {
   EXPECT_NE(out.find("actual rows="), std::string::npos);
   EXPECT_NE(out.find("probes="), std::string::npos);
   EXPECT_NE(out.find("totals: nodes="), std::string::npos);
+  // Only the Scan line carries the chunk count; flies fits in one chunk.
+  EXPECT_NE(out.find("chunks=1]"), std::string::npos);
+  EXPECT_EQ(out.find("chunks="), out.rfind("chunks="));
 }
 
 TEST(ExecutorObsTest, ShowTraceReportsPreviousQuery) {
@@ -814,54 +816,6 @@ TEST(ExecutorObsTest, ExportTraceWritesParseableChromeJson) {
   }
   EXPECT_EQ(depth, 0);
   std::remove(path.c_str());
-}
-
-TEST(ExecutorObsTest, ShowMetricsReportsStorageGaugesPerLayout) {
-  const StorageKind saved = DefaultStorageKind();
-  hql::Executor exec;
-  ASSERT_TRUE(exec.Execute("SET STORAGE columnar;").ok());
-  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
-
-  std::string text = exec.Execute("SHOW METRICS;").value();
-  EXPECT_NE(text.find("storage.row_relations"), std::string::npos);
-  EXPECT_NE(text.find("storage.columnar_relations"), std::string::npos);
-  EXPECT_NE(text.find("storage.row_bytes"), std::string::npos);
-  EXPECT_NE(text.find("storage.columnar_bytes"), std::string::npos);
-
-  // `flies` was created under the columnar default, so the columnar
-  // gauges count it and its bytes.
-  MetricsRegistry& m = exec.database().metrics();
-  EXPECT_GE(m.gauge("storage.columnar_relations").value(), 1);
-  EXPECT_GT(m.gauge("storage.columnar_bytes").value(), 0);
-  SetDefaultStorageKind(saved);
-}
-
-TEST(ExecutorObsTest, ExportTraceParseableUnderColumnarStorage) {
-  const StorageKind saved = DefaultStorageKind();
-  hql::Executor exec;
-  ASSERT_TRUE(exec.Execute("SET STORAGE columnar;").ok());
-  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
-  ASSERT_TRUE(exec.Execute("SELECT * FROM flies;").ok());
-
-  std::string path =
-      std::string(::testing::TempDir()) + "/obs_trace_columnar.json";
-  ASSERT_TRUE(exec.Execute("EXPORT TRACE '" + path + "';").ok());
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string json = buffer.str();
-  EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u);
-  int depth = 0;
-  for (char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-  std::remove(path.c_str());
-  SetDefaultStorageKind(saved);
 }
 
 // ---------------------------------------------------------------------------

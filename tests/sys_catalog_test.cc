@@ -60,7 +60,7 @@ TEST(SysCatalogTest, MetricNameSubtreeSelection) {
           .value();
   EXPECT_NE(out.find("pool.workers"), std::string::npos);
   EXPECT_EQ(out.find("query.statements"), std::string::npos);
-  EXPECT_EQ(out.find("storage.row_bytes"), std::string::npos);
+  EXPECT_EQ(out.find("subsumption_cache.hits"), std::string::npos);
 }
 
 TEST(SysCatalogTest, ProcessGaugesPresent) {

@@ -1,42 +1,27 @@
-// TupleStore contracts: stable ids across churn, cross-store equivalence
-// (row and columnar must be observationally identical, probe counts
-// included, at any thread count), dictionary promotion, and chunked
-// iteration.
+// TupleStore contracts: stable ids across churn, copies that keep ids and
+// dead slots, chunked iteration, and byte accounting.
 
 #include "core/tuple_store.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "algebra/select.h"
-#include "algebra/setops.h"
-#include "common/random.h"
-#include "core/consolidate.h"
+#include "core/hierarchical_relation.h"
 #include "testing/fixtures.h"
 
 namespace hirel {
 namespace {
 
-class TupleStoreKindTest : public ::testing::TestWithParam<StorageKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Kinds, TupleStoreKindTest,
-                         ::testing::Values(StorageKind::kRow,
-                                           StorageKind::kColumnar),
-                         [](const auto& info) {
-                           return StorageKindToString(info.param);
-                         });
-
 /// Ids are sequential append positions, never reused across erase/insert
 /// churn, and upserts keep the original tuple's id.
-TEST_P(TupleStoreKindTest, TupleIdsAreStableAcrossChurn) {
+TEST(TupleStoreTest, TupleIdsAreStableAcrossChurn) {
   Database db;
   Hierarchy* h =
       testing::BuildTreeHierarchy(db, "d", /*depth=*/1, /*fanout=*/1,
                                   /*instances_per_leaf=*/64);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   std::vector<NodeId> atoms = h->Instances();
 
   std::vector<TupleId> ids;
@@ -67,10 +52,10 @@ TEST_P(TupleStoreKindTest, TupleIdsAreStableAcrossChurn) {
   EXPECT_EQ(r.Insert({atoms[3]}, Truth::kPositive).value(), TupleId{0});
 }
 
-TEST_P(TupleStoreKindTest, DuplicateAndContradictionPolicyHolds) {
+TEST(TupleStoreTest, DuplicateAndContradictionPolicyHolds) {
   Database db;
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, 4);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   NodeId atom = h->Instances()[0];
   ASSERT_TRUE(r.Insert({atom}, Truth::kPositive).ok());
   EXPECT_TRUE(r.Insert({atom}, Truth::kPositive).status().IsAlreadyExists());
@@ -78,10 +63,10 @@ TEST_P(TupleStoreKindTest, DuplicateAndContradictionPolicyHolds) {
       r.Insert({atom}, Truth::kNegative).status().IsIntegrityViolation());
 }
 
-TEST_P(TupleStoreKindTest, CopyPreservesIdsDeadSlotsAndVersion) {
+TEST(TupleStoreTest, CopyPreservesIdsDeadSlotsAndVersion) {
   Database db;
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, 8);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   std::vector<NodeId> atoms = h->Instances();
   for (size_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(r.Insert({atoms[i]}, Truth::kPositive).ok());
@@ -91,20 +76,22 @@ TEST_P(TupleStoreKindTest, CopyPreservesIdsDeadSlotsAndVersion) {
 
   HierarchicalRelation copy = r;
   EXPECT_EQ(copy.version(), r.version());
-  EXPECT_EQ(copy.storage_kind(), GetParam());
   EXPECT_EQ(copy.TupleIds(), r.TupleIds());
   EXPECT_EQ(copy.ToString(), r.ToString());
   // The copy's next id continues past the dead slots, like the original's.
   EXPECT_EQ(copy.Insert({atoms[6]}, Truth::kPositive).value(), TupleId{6});
+  // The copy owns its tuples: the original does not see that insert.
+  EXPECT_FALSE(r.FindItem({atoms[6]}).has_value());
+  EXPECT_EQ(r.size(), 4u);
 }
 
 /// Concatenating chunk scans in chunk order reproduces LiveIds exactly,
 /// with a slot population larger than one chunk and holes punched in it.
-TEST_P(TupleStoreKindTest, ChunkScansCoverExactlyTheLiveIds) {
+TEST(TupleStoreTest, ChunkScansCoverExactlyTheLiveIds) {
   Database db;
   constexpr size_t kTuples = 3000;  // ~3 chunks of 1024
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, kTuples);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   for (NodeId atom : h->Instances()) {
     ASSERT_TRUE(r.Insert({atom}, Truth::kPositive).ok());
   }
@@ -127,139 +114,13 @@ TEST_P(TupleStoreKindTest, ChunkScansCoverExactlyTheLiveIds) {
   EXPECT_EQ(chunked, r.TupleIds());
 }
 
-/// Drives row and columnar relations through an identical randomized op
-/// sequence and requires them to be observationally identical: rendering,
-/// subsumption scans, kernel outputs, and exact probe counts at thread
-/// counts 1 and 4.
-TEST(TupleStoreEquivalenceTest, RowAndColumnarAreObservationallyEqual) {
-  for (uint64_t seed = 0; seed < 4; ++seed) {
-    Database db;
-    Hierarchy* h =
-        testing::BuildTreeHierarchy(db, "d", /*depth=*/2, /*fanout=*/3,
-                                    /*instances_per_leaf=*/12);
-    Schema schema({{"v", h}});
-    HierarchicalRelation row("r", schema, StorageKind::kRow);
-    HierarchicalRelation col("r", schema, StorageKind::kColumnar);
-
-    std::vector<NodeId> nodes = h->Instances();
-    std::vector<NodeId> classes = h->Classes();
-    nodes.insert(nodes.end(), classes.begin() + 1, classes.end());
-
-    Random rng(seed);
-    for (size_t step = 0; step < 200; ++step) {
-      NodeId node = nodes[rng.Index(nodes.size())];
-      Item item{node};
-      Truth truth = rng.Bernoulli(0.3) ? Truth::kNegative : Truth::kPositive;
-      switch (rng.Uniform(4)) {
-        case 0:
-        case 1: {
-          Result<TupleId> a = row.Insert(item, truth);
-          Result<TupleId> b = col.Insert(item, truth);
-          ASSERT_EQ(a.ok(), b.ok()) << "seed " << seed << " step " << step;
-          if (a.ok()) {
-            ASSERT_EQ(*a, *b);
-          }
-          break;
-        }
-        case 2: {
-          ASSERT_EQ(row.Upsert(item, truth).value(),
-                    col.Upsert(item, truth).value());
-          break;
-        }
-        case 3: {
-          Status a = row.EraseItem(item);
-          Status b = col.EraseItem(item);
-          ASSERT_EQ(a.ok(), b.ok()) << "seed " << seed << " step " << step;
-          break;
-        }
-      }
-    }
-
-    ASSERT_EQ(row.size(), col.size()) << "seed " << seed;
-    EXPECT_EQ(row.ToString(), col.ToString()) << "seed " << seed;
-    EXPECT_EQ(row.TupleIds(), col.TupleIds()) << "seed " << seed;
-    for (NodeId probe : nodes) {
-      Item item{probe};
-      EXPECT_EQ(row.TuplesSubsuming(item), col.TuplesSubsuming(item))
-          << "seed " << seed << " node " << probe;
-      EXPECT_EQ(row.TuplesSubsumedBy(item), col.TuplesSubsumedBy(item))
-          << "seed " << seed << " node " << probe;
-    }
-
-    // Kernels must produce identical outputs AND identical probe counts on
-    // both layouts, serial and parallel: probes are counted per binding
-    // computation, which the storage layout may not affect.
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      uint64_t row_probes = 0, col_probes = 0;
-      InferenceOptions row_opts, col_opts;
-      row_opts.threads = col_opts.threads = threads;
-      row_opts.probe_counter = &row_probes;
-      col_opts.probe_counter = &col_probes;
-
-      Result<HierarchicalRelation> row_cons = Consolidated(row, row_opts);
-      Result<HierarchicalRelation> col_cons = Consolidated(col, col_opts);
-      ASSERT_TRUE(row_cons.ok() && col_cons.ok()) << "seed " << seed;
-      EXPECT_EQ(row_cons->ToString(), col_cons->ToString())
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(row_probes, col_probes)
-          << "seed " << seed << " threads " << threads;
-
-      NodeId cls = classes[1 + rng.Index(classes.size() - 1)];
-      Result<HierarchicalRelation> row_sel =
-          SelectEquals(row, 0, cls, row_opts);
-      Result<HierarchicalRelation> col_sel =
-          SelectEquals(col, 0, cls, col_opts);
-      ASSERT_EQ(row_sel.ok(), col_sel.ok()) << "seed " << seed;
-      if (row_sel.ok()) {
-        EXPECT_EQ(row_sel->ToString(), col_sel->ToString())
-            << "seed " << seed << " threads " << threads;
-      }
-      EXPECT_EQ(row_probes, col_probes)
-          << "seed " << seed << " threads " << threads;
-
-      // Cross-layout set operation: mixing layouts in one kernel is fine.
-      Result<HierarchicalRelation> mixed = Union(row, col, {
-          .inference = row_opts});
-      Result<HierarchicalRelation> pure = Union(col, col, {
-          .inference = col_opts});
-      ASSERT_EQ(mixed.ok(), pure.ok()) << "seed " << seed;
-      if (mixed.ok()) {
-        EXPECT_EQ(mixed->ToString(), pure->ToString()) << "seed " << seed;
-      }
-    }
-  }
-}
-
-/// The dictionary starts at one byte per code and is promoted to two once
-/// a column passes 256 distinct values, re-encoding what was packed so far.
-TEST(ColumnarTupleStoreTest, DictionaryPromotesPastByteBoundary) {
-  ColumnarTupleStore store(2);
-  constexpr size_t kDistinct = 700;
-  for (NodeId n = 0; n < kDistinct; ++n) {
-    // First attribute cycles through 3 values; second sees them all.
-    store.Append(Item{n % 3, n + 1000}, Truth::kPositive);
-  }
-  EXPECT_EQ(store.ColumnCodeWidth(0), 1u);
-  EXPECT_EQ(store.ColumnCodeWidth(1), 2u);
-  EXPECT_EQ(store.size(), kDistinct);
-  // Every component survives the mid-stream re-encoding.
-  for (TupleId id = 0; id < kDistinct; ++id) {
-    ASSERT_EQ(store.component(id, 0), id % 3) << id;
-    ASSERT_EQ(store.component(id, 1), id + 1000) << id;
-    ASSERT_TRUE(store.ItemAtEquals(id, Item{id % 3, id + 1000})) << id;
-  }
-  // Find goes through the hash index, which stores no items.
-  EXPECT_EQ(store.Find(Item{1, 1001}), std::optional<TupleId>(1));
-  EXPECT_FALSE(store.Find(Item{2, 1001}).has_value());
-}
-
 /// ApproxBytes must account for index structures, not just payloads: the
 /// reported footprint is the sum of the ColumnInfo breakdown, and that
-/// breakdown includes a nonzero item-index line on both layouts.
-TEST_P(TupleStoreKindTest, ApproxBytesIncludesIndexes) {
+/// breakdown includes nonzero item-index and component-index lines.
+TEST(TupleStoreTest, ApproxBytesIncludesIndexes) {
   Database db;
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, 512);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   for (NodeId atom : h->Instances()) {
     ASSERT_TRUE(r.Insert({atom}, Truth::kPositive).ok());
   }

@@ -233,40 +233,51 @@ TEST_F(WalTest, PreferenceEdgesAndMultiParentsSurviveReplay) {
   EXPECT_TRUE(h->BindsBelow(a, b));
 }
 
-TEST_F(WalTest, StorageKindSurvivesReplayAndCheckpoint) {
-  const StorageKind session_default = DefaultStorageKind();
+/// Rewrites the log in `dir`, setting the trailing storage tag of every
+/// create-relation record (op byte 6) to `tag`.
+void SetCreateRelationTags(const std::string& dir, uint8_t tag) {
+  const std::string path = dir + "/wal.log";
+  bool torn = true;
+  std::vector<std::string> records = ReadWalRecords(path, &torn).value();
+  ASSERT_FALSE(torn);
+  std::filesystem::remove(path);
+  std::unique_ptr<WalWriter> writer = WalWriter::Open(path).value();
+  size_t patched = 0;
+  for (std::string& record : records) {
+    if (!record.empty() && record[0] == 6) {
+      ASSERT_EQ(record.back(), '\0');
+      record.back() = static_cast<char>(tag);
+      ++patched;
+    }
+    ASSERT_TRUE(writer->Append(record).ok());
+  }
+  EXPECT_GT(patched, 0u);
+}
+
+/// Earlier builds logged tag 1 for relations created under the columnar
+/// layout; such a record, and the inserts after it, replay into the one
+/// tuple store with the same contents.
+TEST_F(WalTest, LegacyColumnarCreateRecordReplays) {
+  std::string want;
   {
     std::unique_ptr<LoggedDatabase> ldb = LoggedDatabase::Open(dir_).value();
-    ASSERT_TRUE(ldb->CreateHierarchy("animal").ok());
-    ASSERT_TRUE(ldb->AddClass("animal", "bird").ok());
-    SetDefaultStorageKind(StorageKind::kColumnar);
-    ASSERT_TRUE(ldb->CreateRelation("col_rel", {{"who", "animal"}}).ok());
-    SetDefaultStorageKind(StorageKind::kRow);
-    ASSERT_TRUE(ldb->CreateRelation("row_rel", {{"who", "animal"}}).ok());
-    Hierarchy* animal = ldb->db().GetHierarchy("animal").value();
-    NodeId bird = animal->FindClass("bird").value();
-    ASSERT_TRUE(ldb->Insert("col_rel", {bird}, Truth::kPositive).ok());
+    PopulateFlying(*ldb);
+    want = ldb->db().GetRelation("flies").value()->ToString();
   }
-  SetDefaultStorageKind(session_default);
-  // Replay from the log alone: each relation keeps its creation-time kind,
-  // independent of the session default at replay time.
+  SetCreateRelationTags(dir_, 1);
+  std::unique_ptr<LoggedDatabase> reopened =
+      LoggedDatabase::Open(dir_).value();
+  EXPECT_EQ(reopened->db().GetRelation("flies").value()->ToString(), want);
+  ExpectFlyingSemantics(*reopened);
+}
+
+TEST_F(WalTest, UnknownCreateRelationTagIsCorruption) {
   {
-    std::unique_ptr<LoggedDatabase> reopened =
-        LoggedDatabase::Open(dir_).value();
-    EXPECT_EQ(reopened->db().GetRelation("col_rel").value()->storage_kind(),
-              StorageKind::kColumnar);
-    EXPECT_EQ(reopened->db().GetRelation("row_rel").value()->storage_kind(),
-              StorageKind::kRow);
-    EXPECT_EQ(reopened->db().GetRelation("col_rel").value()->size(), 1u);
-    ASSERT_TRUE(reopened->Checkpoint().ok());
+    std::unique_ptr<LoggedDatabase> ldb = LoggedDatabase::Open(dir_).value();
+    PopulateFlying(*ldb);
   }
-  // And through the snapshot a checkpoint writes.
-  std::unique_ptr<LoggedDatabase> again = LoggedDatabase::Open(dir_).value();
-  EXPECT_EQ(again->replayed_records(), 0u);
-  EXPECT_EQ(again->db().GetRelation("col_rel").value()->storage_kind(),
-            StorageKind::kColumnar);
-  EXPECT_EQ(again->db().GetRelation("row_rel").value()->storage_kind(),
-            StorageKind::kRow);
+  SetCreateRelationTags(dir_, 7);
+  EXPECT_TRUE(LoggedDatabase::Open(dir_).status().IsCorruption());
 }
 
 TEST_F(WalTest, IntValuesRoundTripThroughLog) {

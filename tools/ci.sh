@@ -28,21 +28,14 @@ for preset in "${presets[@]}"; do
     echo "==== ${preset}: build (threaded suites) ===="
     cmake --build --preset "${preset}" -j "${jobs}" \
         --target "${tsan_targets[@]}"
-    for storage in row columnar; do
-      echo "==== ${preset}: test (threaded suites, HIREL_STORAGE=${storage}) ===="
-      HIREL_STORAGE="${storage}" ctest --preset "${preset}" -R "${tsan_filter}"
-    done
+    echo "==== ${preset}: test (threaded suites) ===="
+    ctest --preset "${preset}" -R "${tsan_filter}"
     continue
   fi
   echo "==== ${preset}: build ===="
   cmake --build --preset "${preset}" -j "${jobs}"
-  # Run the full suite once per storage layout: HIREL_STORAGE seeds the
-  # default TupleStore kind, so this executes every test on both the row
-  # and the columnar engine.
-  for storage in row columnar; do
-    echo "==== ${preset}: test (HIREL_STORAGE=${storage}) ===="
-    HIREL_STORAGE="${storage}" ctest --preset "${preset}" -j "${jobs}"
-  done
+  echo "==== ${preset}: test ===="
+  ctest --preset "${preset}" -j "${jobs}"
   echo "==== ${preset}: figure reproductions ===="
   for repro in "build/${preset}"/bench/repro_*; do
     [ -x "${repro}" ] || continue
@@ -168,6 +161,16 @@ for preset in "${presets[@]}"; do
     exit 1
   }
   rm -f "${workload_a}" "${workload_b}"
+  # The default size draws more class DENYs than the small run above.
+  "${gen}" --tuples 1000 --check > /dev/null
+
+  if [ "${preset}" = "release" ]; then
+    # Builds bench_e2e/ against this tree and checks every workload's
+    # oracle at toy size, so an engine change that breaks the benchmark
+    # fails here.
+    echo "==== ${preset}: end-to-end benchmark smoke ===="
+    python3 bench_e2e/smoke.py
+  fi
 done
 
 echo "CI passed: ${presets[*]}"

@@ -22,12 +22,14 @@
 // With --check the generated script is also executed against a fresh
 // in-process database; exit 1 if any statement fails.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hql/executor.h"
@@ -128,9 +130,14 @@ int main(int argc, char** argv) {
         << leaves[Pick(rng, leaves.size())] << ";\n";
     skus.push_back(std::move(sku));
   }
-  size_t denials = config.tuples / 50 + 1;
+  // Distinct classes (a partial Fisher-Yates shuffle): denying one class
+  // twice would be a duplicate tuple.
+  std::vector<size_t> classes(next_class);
+  for (size_t c = 0; c < next_class; ++c) classes[c] = c;
+  size_t denials = std::min(config.tuples / 50 + 1, next_class);
   for (size_t i = 0; i < denials; ++i) {
-    out << "DENY stock(ALL cat" << Pick(rng, next_class) << ");\n";
+    std::swap(classes[i], classes[i + Pick(rng, next_class - i)]);
+    out << "DENY stock(ALL cat" << classes[i] << ");\n";
   }
   // Only positive sku facts are tracked as retractable: a positive tuple
   // with no positive predecessor is never redundant, so CONSOLIDATE cannot
