@@ -6,10 +6,17 @@
 // BM_MutateThenGetGraph/N/1  — mutate one tuple, patch the graph (ON)
 // BM_HqlMutateCountLoop/N/i  — the same loop end-to-end through HQL:
 //                              RETRACT + ASSERT + COUNT per iteration
+// BM_GuardedMutate/N/0       — GuardedErase + GuardedInsert of one sku,
+//                              each followed by the full CheckAmbiguity
+//                              (what every guarded write used to pay)
+// BM_GuardedMutate/N/1       — the same writes with the delta check alone
 //
 // tools/bench.sh compares the /0 and /1 rows of this binary and fails if
-// the patched loop is less than 10x faster at the largest common size, and
-// diffs against the committed BENCH_incremental.json baseline.
+// the patched loop is less than 10x faster at the largest common size, if
+// the delta-checked writes are less than 20x faster than the full-check
+// arm at 10^4 tuples, or if they cost more than 3x as much at 10^4 as at
+// 10^3; it also diffs against the committed BENCH_incremental.json
+// baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +25,7 @@
 
 #include "bench_json_main.h"
 #include "catalog/database.h"
+#include "core/integrity.h"
 #include "core/subsumption.h"
 #include "core/subsumption_cache.h"
 #include "hql/executor.h"
@@ -141,6 +149,13 @@ void BM_HqlMutateCountLoop(benchmark::State& state) {
   std::string sku = h->NodeName(rel->tuple(rel->TupleIds().back()).item[0]);
   std::string script = "RETRACT stock(" + sku + "); ASSERT stock(" + sku +
                        "); COUNT stock;";
+  // One untimed round: BuildStock inserts unchecked, so the first guarded
+  // write runs the full ambiguity check and stamps the relation verified;
+  // the timed loop measures the steady state.
+  if (!exec.Execute(script).ok()) {
+    state.SkipWithError("warmup round failed");
+    return;
+  }
   for (auto _ : state) {
     Result<std::string> out = exec.Execute(script);
     if (!out.ok()) {
@@ -153,6 +168,43 @@ void BM_HqlMutateCountLoop(benchmark::State& state) {
 }
 
 BENCHMARK(BM_HqlMutateCountLoop)
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+/// Guarded single-sku RETRACT + ASSERT with no query. Both arms run the
+/// delta check from a verified state; arm 0 also runs the full
+/// CheckAmbiguity after each write, the per-write cost before the delta.
+void BM_GuardedMutate(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool full_check = state.range(1) == 0;
+  Database db;
+  HierarchicalRelation* rel = BuildStock(db, n);
+  const InferenceOptions options;
+  // BuildStock inserts unchecked; one full check verifies and stamps it.
+  if (!CheckMutation(*rel, /*delta=*/false, {}, options).ok()) {
+    state.SkipWithError("stock relation is inconsistent");
+    return;
+  }
+  const Item item = rel->tuple(rel->TupleIds().back()).item;
+  for (auto _ : state) {
+    Status erased = GuardedErase(*rel, item, options);
+    Status full = full_check ? CheckAmbiguity(*rel, options) : Status::OK();
+    Result<TupleId> inserted =
+        GuardedInsert(*rel, item, Truth::kPositive, options);
+    if (full_check && full.ok()) full = CheckAmbiguity(*rel, options);
+    if (!erased.ok() || !inserted.ok() || !full.ok()) {
+      state.SkipWithError("guarded write or full check failed");
+      break;
+    }
+    benchmark::DoNotOptimize(*inserted);
+  }
+  state.counters["tuples"] = static_cast<double>(rel->size());
+}
+
+BENCHMARK(BM_GuardedMutate)
     ->Args({1000, 0})
     ->Args({1000, 1})
     ->Args({10000, 0})

@@ -131,6 +131,34 @@ std::vector<TupleId> HierarchicalRelation::TuplesSubsumedBy(
   return store_.TuplesSubsumedBy(schema_, item);
 }
 
+std::vector<TupleId> HierarchicalRelation::TuplesOverlapping(
+    const Item& item) const {
+  if (store_.size() == 0 || item.size() != schema_.size()) return {};
+  if (schema_.empty()) return TupleIds();
+  if (!schema_.hierarchy(0)->dag().alive(item[0])) return {};
+  return store_.TuplesOverlapping(schema_, item);
+}
+
+void HierarchicalRelation::MarkAmbiguityVerified(PreemptionMode mode) {
+  verified_.version = version_;
+  verified_.mode = mode;
+  verified_.hierarchy_versions.resize(schema_.size());
+  for (size_t i = 0; i < schema_.size(); ++i) {
+    verified_.hierarchy_versions[i] = schema_.hierarchy(i)->version();
+  }
+}
+
+bool HierarchicalRelation::AmbiguityVerified(PreemptionMode mode) const {
+  if (store_.size() == 0) return true;
+  if (verified_.version != version_ || verified_.mode != mode) return false;
+  for (size_t i = 0; i < schema_.size(); ++i) {
+    if (verified_.hierarchy_versions[i] != schema_.hierarchy(i)->version()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 size_t HierarchicalRelation::CoveredAtomCount() const {
   size_t count = 0;
   for (TupleId id : store_.LiveIds()) {

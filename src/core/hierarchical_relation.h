@@ -147,6 +147,11 @@ class HierarchicalRelation {
   /// Ids of live tuples whose item is subsumed by `item`.
   std::vector<TupleId> TuplesSubsumedBy(const Item& item) const;
 
+  /// Ids of live tuples whose item overlaps `item`: on every attribute the
+  /// two components share a descendant, so some item lies below both.
+  /// Served by the store's component index, ascending ids.
+  std::vector<TupleId> TuplesOverlapping(const Item& item) const;
+
   // ----- Chunked iteration --------------------------------------------------
 
   /// Number of fixed-size scan chunks (TupleStore::kChunkTuples ids each)
@@ -181,6 +186,19 @@ class HierarchicalRelation {
   /// extensions) instead of full rebuilds.
   const MutationJournal& journal() const { return journal_; }
 
+  // ----- Ambiguity-verified stamp (see integrity.h) -------------------------
+
+  /// Records that the current state satisfies the ambiguity constraint
+  /// under `mode`. The stamp is the key SubsumptionCache uses: this
+  /// relation's version plus every schema hierarchy's version, here with
+  /// the preemption mode. Any later tuple mutation, hierarchy edit, or a
+  /// different mode leaves it stale.
+  void MarkAmbiguityVerified(PreemptionMode mode);
+
+  /// True iff the relation is empty (an empty relation has no conflict
+  /// under any mode) or its stamp matches the current state under `mode`.
+  bool AmbiguityVerified(PreemptionMode mode) const;
+
   /// Renders the relation as the paper's figures do: one "+"/"-" column
   /// followed by attribute values, classes prefixed with the universal
   /// quantifier "∀" (rendered as "ALL ").
@@ -189,11 +207,20 @@ class HierarchicalRelation {
  private:
   Status ValidateItem(const Item& item) const;
 
+  /// Stamp of the last state known to satisfy the ambiguity constraint;
+  /// version 0 (never issued by NextRevision) means none.
+  struct VerifiedStamp {
+    uint64_t version = 0;
+    std::vector<uint64_t> hierarchy_versions;
+    PreemptionMode mode = PreemptionMode::kOffPath;
+  };
+
   std::string name_;
   Schema schema_;
   uint64_t version_ = NextRevision();
   TupleStore store_;
   MutationJournal journal_;
+  VerifiedStamp verified_;
 };
 
 }  // namespace hirel

@@ -1,7 +1,7 @@
 #include "core/transaction.h"
 
 #include "common/str_util.h"
-#include "core/conflict.h"
+#include "core/integrity.h"
 #include "obs/log.h"
 
 namespace hirel {
@@ -14,10 +14,15 @@ void Transaction::Erase(Item item) {
   ops_.push_back(Op{OpKind::kErase, std::move(item), Truth::kPositive});
 }
 
-Status Transaction::Commit() {
+Status Transaction::Commit(uint64_t* probe_counter) {
   size_t staged = ops_.size();
   std::vector<Undo> undo_log;
   undo_log.reserve(ops_.size());
+  InferenceOptions options = options_;
+  if (probe_counter != nullptr) options.probe_counter = probe_counter;
+  // Whether the pre-commit state is verified: then the check is the delta
+  // over the applied ops, and a rollback restores a verified state.
+  const bool delta = DeltaCheckApplies(*relation_, options);
 
   auto rollback = [&]() {
     if (metrics_ != nullptr) metrics_->counter("txn.commit_failures").Add();
@@ -36,6 +41,7 @@ Status Transaction::Commit() {
         (void)relation_->Insert(it->item, it->truth);
       }
     }
+    if (delta) relation_->MarkAmbiguityVerified(options.preemption);
     ops_.clear();
   };
 
@@ -65,7 +71,10 @@ Status Transaction::Commit() {
     }
   }
 
-  Status check = CheckAmbiguity(*relation_, options_);
+  std::vector<Item> changed;
+  changed.reserve(undo_log.size());
+  for (const Undo& undo : undo_log) changed.push_back(undo.item);
+  Status check = CheckMutation(*relation_, delta, changed, options);
   if (!check.ok()) {
     rollback();
     return check;

@@ -5,11 +5,13 @@
 // conflict, and themselves create no new unresolved conflict." (Section
 // 3.1.) A Transaction stages inserts and erases, applies them atomically at
 // Commit, verifies the ambiguity constraint once, and rolls everything back
-// if the final state is inconsistent.
+// if the final state is inconsistent. The undo log of applied operations
+// doubles as the change list of the delta check (integrity.h).
 
 #ifndef HIREL_CORE_TRANSACTION_H_
 #define HIREL_CORE_TRANSACTION_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -49,11 +51,14 @@ class Transaction {
   size_t num_staged() const { return ops_.size(); }
 
   /// Applies all staged operations in order, then checks the ambiguity
-  /// constraint. If any operation fails or the final state is inconsistent,
-  /// every applied operation is rolled back, the staged operations are
-  /// discarded (the transaction aborts), and the error is returned. After
-  /// either outcome the transaction is empty and reusable.
-  Status Commit();
+  /// constraint (by delta over the applied operations when the pre-commit
+  /// state is verified; see integrity.h). If any operation fails or the
+  /// final state is inconsistent, every applied operation is rolled back,
+  /// the staged operations are discarded (the transaction aborts), and the
+  /// error is returned. After either outcome the transaction is empty and
+  /// reusable. `probe_counter`, when non-null, receives one count per
+  /// strongest-binding computation of the check.
+  Status Commit(uint64_t* probe_counter = nullptr);
 
   /// Discards staged operations without touching the relation.
   void Rollback() { ops_.clear(); }

@@ -90,6 +90,32 @@ std::vector<TupleId> TupleStore::TuplesSubsumedBy(const Schema& schema,
   return out;
 }
 
+std::vector<TupleId> TupleStore::TuplesOverlapping(const Schema& schema,
+                                                   const Item& item) const {
+  // Per attribute past the first, the nodes sharing a descendant with
+  // item[i]; attribute 0's overlap set drives the index lookups.
+  std::vector<std::vector<bool>> overlaps(schema.size());
+  for (size_t i = 1; i < schema.size(); ++i) {
+    const Dag& dag = schema.hierarchy(i)->dag();
+    overlaps[i].assign(dag.capacity(), false);
+    for (NodeId n : dag.Overlapping(item[i])) overlaps[i][n] = true;
+  }
+  std::vector<TupleId> out;
+  for (NodeId node : schema.hierarchy(0)->dag().Overlapping(item[0])) {
+    auto it = component_index_[0].find(node);
+    if (it == component_index_[0].end()) continue;
+    for (TupleId id : it->second) {
+      bool overlap = true;
+      for (size_t i = 1; i < schema.size() && overlap; ++i) {
+        overlap = overlaps[i][tuples_[id].item[i]];
+      }
+      if (overlap) out.push_back(id);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 size_t TupleStore::ApproxBytes() const {
   size_t bytes = 0;
   for (const StorageColumnInfo& info : ColumnInfo(Schema())) {

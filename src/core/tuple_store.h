@@ -9,8 +9,9 @@
 // Contracts the parallel kernels and the subsumption-graph cache depend on:
 //  * Append allocates ids sequentially: the id of the n-th Append is n,
 //    dead slots included. Ids are never reused (until Clear).
-//  * LiveIds / TuplesSubsuming / TuplesSubsumedBy return ascending ids, so
-//    results are byte-identical across thread counts.
+//  * LiveIds and the TuplesSubsuming / SubsumedBy / Overlapping scans
+//    return ascending ids, so results are byte-identical across thread
+//    counts.
 //  * Copies preserve ids, dead slots, and iteration order exactly.
 //  * Chunk boundaries are a pure function of capacity() and kChunkTuples,
 //    never of thread count, so chunked ParallelFor scans are deterministic.
@@ -115,6 +116,14 @@ class TupleStore {
   std::vector<TupleId> TuplesSubsumedBy(const Schema& schema,
                                         const Item& item) const;
 
+  /// Ids of live tuples whose item overlaps `item` (on every attribute the
+  /// two components share a descendant), ascending; same preconditions as
+  /// TuplesSubsuming. Candidates come from the attribute-0 component index
+  /// restricted to Dag::Overlapping(item[0]), never from a scan of all
+  /// tuples.
+  std::vector<TupleId> TuplesOverlapping(const Schema& schema,
+                                         const Item& item) const;
+
   /// Approximate in-memory footprint in bytes, including indexes and
   /// bitmaps — everything the store owns, not just tuple payloads.
   size_t ApproxBytes() const;
@@ -140,7 +149,8 @@ class TupleStore {
 
   // Inverted index: per attribute, component node -> live tuple ids using
   // that node at that position. Accelerates TuplesSubsuming /
-  // TuplesSubsumedBy, the two scans behind all binding computations.
+  // TuplesSubsumedBy, the two scans behind all binding computations, and
+  // TuplesOverlapping, the candidate scan of the delta ambiguity check.
   std::vector<std::unordered_map<NodeId, std::vector<TupleId>>>
       component_index_;
 };

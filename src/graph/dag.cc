@@ -278,6 +278,30 @@ std::vector<NodeId> Dag::Ancestors(NodeId n) const {
   return out;
 }
 
+std::vector<NodeId> Dag::Overlapping(NodeId n) const {
+  std::vector<NodeId> out;
+  if (!alive(n)) return out;
+  // Upward BFS seeded with every descendant of n.
+  std::vector<bool> seen(capacity(), false);
+  std::deque<NodeId> queue;
+  for (NodeId d : Descendants(n)) {
+    seen[d] = true;
+    queue.push_back(d);
+  }
+  while (!queue.empty()) {
+    NodeId cur = queue.front();
+    queue.pop_front();
+    out.push_back(cur);
+    for (NodeId next : in_[cur]) {
+      if (!seen[next]) {
+        seen[next] = true;
+        queue.push_back(next);
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<NodeId> Dag::Roots() const {
   std::vector<NodeId> roots;
   for (NodeId n = 0; n < capacity(); ++n) {

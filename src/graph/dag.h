@@ -168,6 +168,11 @@ class Dag {
   /// All live nodes that reach n, including n itself.
   std::vector<NodeId> Ancestors(NodeId n) const;
 
+  /// All live nodes sharing a descendant with n (the ancestors of n's
+  /// descendants), including n itself. In a tree: n's ancestors and
+  /// descendants.
+  std::vector<NodeId> Overlapping(NodeId n) const;
+
   /// Live nodes with no in-edges.
   std::vector<NodeId> Roots() const;
 

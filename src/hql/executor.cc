@@ -586,23 +586,37 @@ Result<std::string> Executor::ExecuteStatementImpl(
                       " operation(s) pending on '", self.txn_relation_,
                       "')\n");
       }
+      // The guarded write (mutation, ambiguity check, rollback on conflict)
+      // is the statement's integrity phase: its own span, and its binding
+      // computations count as the statement's probes.
+      uint64_t probes = 0;
+      InferenceOptions guarded = self.options_;
+      guarded.probe_counter = &probes;
+      Status written = Status::OK();
+      {
+        obs::Trace::Scope span(self.active_trace_, "integrity");
+        if (stmt.kind == FactStmt::Kind::kRetract) {
+          written = GuardedErase(*relation, item, guarded);
+        } else {
+          Truth truth = stmt.kind == FactStmt::Kind::kAssert
+                            ? Truth::kPositive
+                            : Truth::kNegative;
+          written =
+              GuardedInsert(*relation, std::move(item), truth, guarded)
+                  .status();
+        }
+        span.Note("probes", probes);
+      }
+      self.pending_.subsumption_probes += probes;
+      HIREL_RETURN_IF_ERROR(written);
       switch (stmt.kind) {
         case FactStmt::Kind::kAssert:
-          HIREL_RETURN_IF_ERROR(
-              GuardedInsert(*relation, std::move(item), Truth::kPositive,
-                            self.options_)
-                  .status());
           db.metrics().counter("facts.asserted").Add();
           return StrCat("asserted into '", stmt.relation, "'\n");
         case FactStmt::Kind::kDeny:
-          HIREL_RETURN_IF_ERROR(
-              GuardedInsert(*relation, std::move(item), Truth::kNegative,
-                            self.options_)
-                  .status());
           db.metrics().counter("facts.denied").Add();
           return StrCat("denied in '", stmt.relation, "'\n");
         case FactStmt::Kind::kRetract:
-          HIREL_RETURN_IF_ERROR(GuardedErase(*relation, item, self.options_));
           db.metrics().counter("facts.retracted").Add();
           return StrCat("retracted from '", stmt.relation, "'\n");
       }
@@ -1133,7 +1147,14 @@ Result<std::string> Executor::ExecuteStatementImpl(
       if (self.txn_ == nullptr) {
         return Status::InvalidArgument("no open transaction");
       }
-      Status committed = self.txn_->Commit();
+      uint64_t probes = 0;
+      Status committed = Status::OK();
+      {
+        obs::Trace::Scope span(self.active_trace_, "integrity");
+        committed = self.txn_->Commit(&probes);
+        span.Note("probes", probes);
+      }
+      self.pending_.subsumption_probes += probes;
       self.txn_.reset();
       std::string relation = std::move(self.txn_relation_);
       self.txn_relation_.clear();

@@ -844,6 +844,64 @@ TEST(ExecutorObsTest, SlowQueryLogSplitsWaitAndExec) {
   EXPECT_NE(json.find("\"exec_ms\":"), std::string::npos);
 }
 
+/// The probe count on the first line of `text` that contains `marker`, or
+/// -1 when there is none.
+long ProbesOnLine(const std::string& text, const std::string& marker) {
+  size_t at = text.find(marker);
+  if (at == std::string::npos) return -1;
+  std::string line = text.substr(at, text.find('\n', at) - at);
+  size_t probes = line.find("probes=");
+  if (probes == std::string::npos) return -1;
+  return std::stol(line.substr(probes + 7));
+}
+
+TEST(ExecutorObsTest, GuardedWritesReportIntegritySpanAndProbes) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(R"(
+CREATE HIERARCHY student;
+CREATE CLASS obsequious_student IN student;
+CREATE INSTANCE john IN student UNDER obsequious_student;
+CREATE HIERARCHY teacher;
+CREATE CLASS incoherent_teacher IN teacher;
+CREATE INSTANCE jim IN teacher UNDER incoherent_teacher;
+CREATE RELATION respects (who: student, whom: teacher);
+ASSERT respects(ALL obsequious_student, ALL teacher);
+)")
+                  .ok());
+  // The Fig. 3 DENY: rejected by the ambiguity check, whose work is still
+  // attributed to the statement.
+  EXPECT_TRUE(
+      exec.Execute("DENY respects(ALL student, ALL incoherent_teacher);")
+          .status()
+          .IsConflict());
+  std::string trace = exec.Execute("SHOW TRACE;").value();
+  EXPECT_NE(trace.find("deny"), std::string::npos) << trace;
+  EXPECT_GT(ProbesOnLine(trace, "integrity"), 0) << trace;
+  std::string queries = exec.Execute("SHOW QUERIES;").value();
+  EXPECT_GT(ProbesOnLine(queries, "[deny]"), 0) << queries;
+
+  // COMMIT runs the same check over the batch, under the same span.
+  ASSERT_TRUE(exec.Execute(R"(
+BEGIN respects;
+DENY respects(ALL student, ALL incoherent_teacher);
+ASSERT respects(ALL obsequious_student, ALL incoherent_teacher);
+COMMIT;
+)")
+                  .ok());
+  trace = exec.Execute("SHOW TRACE;").value();
+  size_t commit = trace.find("commit");
+  ASSERT_NE(commit, std::string::npos) << trace;
+  EXPECT_NE(trace.find("integrity", commit), std::string::npos) << trace;
+
+  // Retracting the resolver re-exposes the conflict: probed and rejected.
+  EXPECT_TRUE(exec.Execute("RETRACT respects(ALL obsequious_student, "
+                           "ALL incoherent_teacher);")
+                  .status()
+                  .IsConflict());
+  queries = exec.Execute("SHOW QUERIES;").value();
+  EXPECT_GT(ProbesOnLine(queries, "[retract]"), 0) << queries;
+}
+
 TEST(ExecutorObsTest, ShowQueriesReportsWaitShare) {
   hql::Executor exec;
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());

@@ -135,10 +135,14 @@ PYEOF
 # diff above this one FAILS the run: (a) any bench_incremental benchmark
 # more than 25% slower than the committed BENCH_incremental.json baseline
 # — enforced only when this host's core count matches the recording
-# host's, since per-op times are not comparable across hardware — and
-# (b) regardless of hardware, the patched mutate-then-query loop must be
-# at least 10x faster than the full-rebuild loop at the largest size both
-# were measured at in THIS run.
+# host's, since per-op times are not comparable across hardware — and,
+# regardless of hardware, from rows measured in THIS run: (b) the patched
+# mutate-then-query loop must be at least 10x faster than the full-rebuild
+# loop at the largest size both were measured at; (c) delta-checked
+# guarded writes (BM_GuardedMutate/N/1) must be at least 20x faster than
+# the full-check arm (/0) at 10^4 tuples, and (d) cost at most 3x as much
+# at 10^4 tuples as at 10^3. Each gate applies when its rows are present
+# (a --benchmark_filter may select a subset).
 if [ -e BENCH_incremental.json ]; then
   inc_cores=$(sed -n 's/^[[:space:]]*"num_cpus":[[:space:]]*\([0-9]*\).*/\1/p' \
       BENCH_incremental.json | head -n 1)
@@ -207,6 +211,32 @@ if sizes:
     if speedup < 10.0:
         failed = True
         print("  FAIL: patched loop is less than 10x faster than rebuild")
+
+# Delta ambiguity check, hardware-independent: against the full-check arm
+# at 10^4, and its own growth from 10^3 to 10^4.
+guarded = {}
+for name, ns in current.items():
+    if not name.startswith("BM_GuardedMutate/"):
+        continue
+    parts = name.split("/")
+    if len(parts) != 3 or ns is None:
+        continue
+    guarded.setdefault(int(parts[1]), {})[parts[2]] = ns
+arms = guarded.get(10000, {})
+if "0" in arms and "1" in arms:
+    speedup = arms["0"] / arms["1"]
+    print(f"==== guarded-write delta gate: {speedup:.1f}x faster than the "
+          f"full check at 10000 tuples (minimum 20x) ====")
+    if speedup < 20.0:
+        failed = True
+        print("  FAIL: delta-checked writes are less than 20x faster")
+if "1" in guarded.get(1000, {}) and "1" in arms:
+    growth = arms["1"] / guarded[1000]["1"]
+    print(f"==== guarded-write growth gate: {growth:.2f}x from 1000 to "
+          f"10000 tuples (maximum 3x) ====")
+    if growth > 3.0:
+        failed = True
+        print("  FAIL: delta-checked writes grow more than 3x with 10x tuples")
 
 if failed:
     sys.exit(1)

@@ -170,6 +170,14 @@ for preset in "${presets[@]}"; do
     # fails here.
     echo "==== ${preset}: end-to-end benchmark smoke ===="
     python3 bench_e2e/smoke.py
+
+    # The guarded-write gates of tools/bench.sh (delta check against the
+    # full check, and its growth from 10^3 to 10^4 tuples).
+    echo "==== ${preset}: guarded-write bench gates ===="
+    gate_summary="$(mktemp)"
+    tools/bench.sh "build/${preset}" "${gate_summary}" \
+        --benchmark_filter=BM_GuardedMutate
+    rm -f "${gate_summary}"
   fi
 done
 
