@@ -14,9 +14,10 @@
 // tools/bench.sh compares the /0 and /1 rows of this binary and fails if
 // the patched loop is less than 10x faster at the largest common size, if
 // the delta-checked writes are less than 20x faster than the full-check
-// arm at 10^4 tuples, or if they cost more than 3x as much at 10^4 as at
-// 10^3; it also diffs against the committed BENCH_incremental.json
-// baseline.
+// arm at 10^4 tuples, if they cost more than 3x as much at 10^4 as at
+// 10^3, or if the incremental HQL loop is less than 10x faster than the
+// non-incremental one at 10^4; it also diffs against the committed
+// BENCH_incremental.json baseline.
 
 #include <benchmark/benchmark.h>
 

@@ -9,10 +9,14 @@
 // obs/sys_catalog.h for the concrete providers).
 //
 // Contract:
-//  * schema() must return a schema whose hierarchies are owned by (or
-//    registered on) the same Database and must *refresh* the hierarchy
-//    domains — interning any value a materialization would produce — so
-//    WHERE terms resolve at plan-compile time, before Materialize runs.
+//  * Rows() is the one row source: typed values in display order, one
+//    per schema column. It interns nothing, so rendering a provider
+//    (SHOW, JSON, diagnostics bundles) leaves the hierarchy domains as
+//    they were.
+//  * schema() returns a schema whose hierarchies are owned by (or
+//    registered on) the same Database.
+//  * RefreshDomains() interns every value Rows() would produce, so WHERE
+//    terms resolve at plan-compile time, before Materialize runs.
 //  * Materialize() builds a fresh relation over exactly that schema; the
 //    plan executor owns the result, so nothing is cached and the
 //    subsumption-graph cache is bypassed automatically.
@@ -25,12 +29,17 @@
 #define HIREL_CATALOG_VIRTUAL_RELATION_H_
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "core/hierarchical_relation.h"
 #include "types/schema.h"
+#include "types/value.h"
 
 namespace hirel {
+
+/// One row of a virtual relation: one value per schema column.
+using VirtualRow = std::vector<Value>;
 
 class VirtualRelationProvider {
  public:
@@ -39,9 +48,14 @@ class VirtualRelationProvider {
   /// The reserved catalog name ("sys.metrics", "sys.queries", ...).
   virtual const std::string& name() const = 0;
 
-  /// The relation's schema, with hierarchy domains refreshed (see file
-  /// comment). Non-const because refreshing interns instances.
-  virtual const Schema& schema() = 0;
+  /// The relation's schema (column names and hierarchy domains).
+  virtual const Schema& schema() const = 0;
+
+  /// The current rows, in display order.
+  virtual std::vector<VirtualRow> Rows() = 0;
+
+  /// Interns every value of Rows() into the schema's domains.
+  virtual void RefreshDomains() = 0;
 
   /// Row-count hint for plan annotation; need not be exact.
   virtual size_t EstimatedRows() = 0;

@@ -122,24 +122,17 @@ struct ExtensionStmt {
 struct ShowStmt {
   enum class What {
     kHierarchy,
-    kRelation,
+    kRelation,     // SHOW RELATION r, and each SHOW alias of a sys.* view
     kHierarchies,
     kRelations,
     kRules,
     kSubsumption,  // SHOW SUBSUMPTION rel: the Fig. 6a construction
-    kMetrics,      // SHOW METRICS [JSON|PROMETHEUS]: the metrics registry
+    kPrometheus,   // SHOW METRICS PROMETHEUS: the text exposition
     kTrace,        // SHOW TRACE [JSON]: the last query's span tree
-    kLog,          // SHOW LOG [JSON]: the in-memory event-log ring
-    kQueries,      // SHOW QUERIES [JSON]: the query-history ring, newest first
-    kTelemetry,    // SHOW TELEMETRY [JSON]: the sampler's history rings
-    kAlerts,       // SHOW ALERTS [JSON]: every alert rule and its state
-    kHealth,       // SHOW HEALTH [JSON]: per-component verdicts
-    kWaits,        // SHOW WAITS [JSON]: wait sites grouped by class
   };
   What what = What::kRelations;
   std::string name;
-  bool json = false;        // JSON rendering, for kMetrics / kTrace / kLog
-  bool prometheus = false;  // Prometheus text exposition, for kMetrics
+  bool json = false;  // JSON rendering, for kTrace and the sys.* aliases
 };
 
 struct DropStmt {

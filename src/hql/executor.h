@@ -17,6 +17,7 @@
 #include "hql/ast.h"
 #include "obs/alerts.h"
 #include "obs/query_stats.h"
+#include "obs/sys_catalog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/wait.h"
@@ -62,8 +63,8 @@ class Executor {
   /// QUERIES expose). Every executed statement is recorded, pass or fail.
   const obs::QueryHistoryRing& query_history() const { return history_; }
 
-  /// The background metrics sampler behind sys.metrics_history and SHOW
-  /// TELEMETRY (SET TELEMETRY ON|OFF|INTERVAL n controls it). Exposed
+  /// The background metrics sampler behind sys.telemetry and
+  /// sys.metrics_history (SET TELEMETRY ON|OFF|INTERVAL n controls it). Exposed
   /// mutable so tests can Tick() deterministically without the thread.
   obs::TelemetrySampler& telemetry() { return telemetry_; }
   const obs::TelemetrySampler& telemetry() const { return telemetry_; }
@@ -88,6 +89,12 @@ class Executor {
   /// Registers the sys.* virtual-relation providers on db_. Called from
   /// both constructors and again after LOAD replaces the database.
   void InstallSystemCatalog();
+
+  /// The session state the sys.* relations read (history ring, sampler,
+  /// alert manager, configured thread count).
+  obs::SysSources sys_sources() const {
+    return {&history_, &telemetry_, &alerts_, &options_.threads};
+  }
 
   /// Runs one statement with per-query resource accounting: times it,
   /// tracks peak kernel allocations, and appends a QueryStats record to
@@ -148,9 +155,9 @@ class Executor {
   std::vector<obs::WaitEventRegistry::WaitSpan> wait_spans_;
 
   // The trace being recorded for the current Execute call (null outside
-  // one) and the last completed, trace-worthy query's spans. SHOW TRACE /
-  // SHOW METRICS / RESET METRICS do not replace trace_, so SHOW TRACE
-  // reports the query before it rather than itself.
+  // one) and the last completed, trace-worthy query's spans. SHOW TRACE, a
+  // SHOW of a sys.* relation and RESET METRICS do not replace trace_, so
+  // SHOW TRACE reports the query before it rather than itself.
   obs::Trace* active_trace_ = nullptr;
   obs::Trace trace_;
 

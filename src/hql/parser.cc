@@ -1,5 +1,7 @@
 #include "hql/parser.h"
 
+#include <utility>
+
 #include "common/str_util.h"
 #include "hql/lexer.h"
 
@@ -52,6 +54,22 @@ class Parser {
       return true;
     }
     return false;
+  }
+
+  /// Consumes a SHOW alias of a sys.* view and returns the view's name,
+  /// or returns null and consumes nothing. Some aliases are reserved
+  /// words, the others plain names (see CheckName).
+  const char* AcceptSysView() {
+    static constexpr std::pair<const char*, const char*> kViews[] = {
+        {"METRICS", "metrics"}, {"LOG", "log"},
+        {"QUERIES", "queries"}, {"TELEMETRY", "telemetry"},
+        {"ALERTS", "alerts"},   {"HEALTH", "health"},
+        {"WAITS", "waits"},
+    };
+    for (const auto& [word, view] : kViews) {
+      if (AcceptKeyword(word) || AcceptName(word)) return view;
+    }
+    return nullptr;
   }
 
   Status Error(const std::string& message) const {
@@ -424,31 +442,20 @@ class Parser {
       } else if (AcceptKeyword("SUBSUMPTION")) {
         stmt.what = ShowStmt::What::kSubsumption;
         HIREL_ASSIGN_OR_RETURN(stmt.name, ExpectIdentifier());
-      } else if (AcceptKeyword("METRICS")) {
-        stmt.what = ShowStmt::What::kMetrics;
-        stmt.json = AcceptKeyword("JSON");
-        if (!stmt.json) stmt.prometheus = AcceptKeyword("PROMETHEUS");
       } else if (AcceptKeyword("TRACE")) {
         stmt.what = ShowStmt::What::kTrace;
         stmt.json = AcceptKeyword("JSON");
-      } else if (AcceptKeyword("LOG")) {
-        stmt.what = ShowStmt::What::kLog;
+      } else if (const char* view = AcceptSysView()) {
+        // SHOW METRICS, LOG, QUERIES, ... [JSON] is SHOW RELATION
+        // sys.<view>; only the Prometheus exposition is its own kind.
+        stmt.what = ShowStmt::What::kRelation;
+        stmt.name = StrCat("sys.", view);
         stmt.json = AcceptKeyword("JSON");
-      } else if (AcceptKeyword("QUERIES")) {
-        stmt.what = ShowStmt::What::kQueries;
-        stmt.json = AcceptKeyword("JSON");
-      } else if (AcceptKeyword("TELEMETRY")) {
-        stmt.what = ShowStmt::What::kTelemetry;
-        stmt.json = AcceptKeyword("JSON");
-      } else if (AcceptName("ALERTS")) {
-        stmt.what = ShowStmt::What::kAlerts;
-        stmt.json = AcceptKeyword("JSON");
-      } else if (AcceptName("HEALTH")) {
-        stmt.what = ShowStmt::What::kHealth;
-        stmt.json = AcceptKeyword("JSON");
-      } else if (AcceptName("WAITS")) {
-        stmt.what = ShowStmt::What::kWaits;
-        stmt.json = AcceptKeyword("JSON");
+        if (!stmt.json && stmt.name == "sys.metrics" &&
+            AcceptKeyword("PROMETHEUS")) {
+          stmt.what = ShowStmt::What::kPrometheus;
+          stmt.name.clear();
+        }
       } else if (AcceptKeyword("BINDING")) {
         ShowBindingStmt binding;
         HIREL_ASSIGN_OR_RETURN(binding.relation, ExpectIdentifier());

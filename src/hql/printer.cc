@@ -57,7 +57,7 @@ std::string HelpText() {
     SAVE 'path'; LOAD 'path';
     HELP;
 
-  observability
+  observability (SHOW X [JSON] prints the rows of sys.x, see below)
     SHOW METRICS [JSON | PROMETHEUS];            -- engine counters/histograms
     SHOW QUERIES [JSON];                         -- per-query history ring, newest first
     SHOW TRACE [JSON];                           -- last query's span tree
@@ -65,7 +65,7 @@ std::string HelpText() {
     SET LOG debug|info|warn|error|off;           -- logger minimum level
     SET SLOW_QUERY_MS n;                         -- log statements >= n ms (OFF to disable)
     SET TELEMETRY ON|OFF|INTERVAL n|TICK;        -- background metric sampler (TICK = one sample now)
-    SHOW TELEMETRY [JSON];                       -- sampled metric history rings
+    SHOW TELEMETRY [JSON];                       -- one row per sampled series
     CREATE ALERT a ON metric > n [FOR k SAMPLES] [SEVERITY info|warn|crit];
                                                  -- rule evaluated on every telemetry tick (> < >= <= =)
     DROP ALERT a;                                -- remove a user rule (watchdog rules refuse)
@@ -74,27 +74,30 @@ std::string HelpText() {
     SHOW WAITS [JSON];                           -- wait sites by class with p50/p90/p99
     SET WATCHDOG_QUERY_MS n;                     -- slow-query watchdog budget (OFF to disable)
     SET DIAGNOSTICS_DIR 'dir';                   -- auto-capture a bundle per alert fire (OFF to disable)
-    EXPORT DIAGNOSTICS 'file.json';              -- one-shot bundle: config, metrics, waits, alerts,
-                                                 -- health, queries, telemetry, log
+    EXPORT DIAGNOSTICS 'file.json';              -- one-shot bundle: config plus the rows of
+                                                 -- every sys.* relation
     EXPORT TRACE 'file.json';                    -- Chrome trace-event JSON (incl. wait spans)
     RESET METRICS;                               -- zero every metric and wait aggregate
 
   system catalog (read-only virtual relations; SELECT/JOIN like any other)
-    sys.metrics    -- every counter/gauge/histogram; name is hierarchical,
+    sys.metrics    -- every counter/gauge/histogram (and the telemetry.*,
+                   -- log.dropped, exec.threads gauges); name is hierarchical,
                    -- so SELECT ... WHERE name = ALL pool covers the subtree
     sys.log        -- event-log ring; severity hierarchy debug>info>warn>error
     sys.relations  -- stored + virtual relations with tuples, chunks and bytes
     sys.columns    -- per-column byte breakdown of every stored relation
     sys.cache      -- subsumption-cache entries with version stamps
     sys.pool       -- per-thread busy time
-    sys.queries    -- per-query accounting (wall, wait, rows, probes, peak bytes)
+    sys.queries    -- per-query accounting (ok, wall, wait, rows, probes, peak bytes)
     sys.waits      -- wait-event aggregates; site hierarchy classed by
                    -- cpu_queue/latch/lock/io, so WHERE site = ALL latch works
+    sys.telemetry  -- per sampled series: last, min, max, samples, rate_per_s
     sys.metrics_history -- the telemetry sampler's rings; name shares the
                    -- sys.metrics hierarchy, so WHERE name = ALL pool works
     sys.alerts     -- alert rules + state; severity chain info>warn>crit,
                    -- so WHERE severity = ALL warn covers warn and crit
-    sys.health     -- one verdict per component (pool/wal/cache/queries/telemetry)
+    sys.health     -- overall verdict, then one per component
+                   -- (pool/wal/cache/queries/telemetry)
 )";
 }
 

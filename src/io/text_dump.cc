@@ -36,6 +36,8 @@ std::string Pad(const std::string& s, size_t width) {
   return out;
 }
 
+}  // namespace
+
 std::string FormatTable(const std::string& title,
                         const std::vector<std::string>& header,
                         const std::vector<std::vector<std::string>>& rows) {
@@ -69,8 +71,6 @@ std::string FormatTable(const std::string& title,
   emit_rule();
   return out;
 }
-
-}  // namespace
 
 std::string FormatHierarchy(const Hierarchy& hierarchy) {
   std::string out = StrCat("hierarchy ", hierarchy.name(), " (",

@@ -18,6 +18,12 @@ namespace hirel {
 /// appear under each parent, marked with "^" after the first occurrence.
 std::string FormatHierarchy(const Hierarchy& hierarchy);
 
+/// ASCII table: `title` (omitted when empty), a header row, then `rows`
+/// in the order given; every column is as wide as its widest cell.
+std::string FormatTable(const std::string& title,
+                        const std::vector<std::string>& header,
+                        const std::vector<std::vector<std::string>>& rows);
+
 /// ASCII table: a +/- truth column followed by one column per attribute;
 /// class values are rendered as "ALL <name>" (the paper's "∀C").
 std::string FormatRelation(const HierarchicalRelation& relation);

@@ -1,5 +1,7 @@
 #include "obs/sys_catalog.h"
 
+#include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -7,6 +9,8 @@
 
 #include "common/str_util.h"
 #include "common/thread_pool.h"
+#include "io/text_dump.h"
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -23,11 +27,14 @@ struct SysDomains {
   Hierarchy* label = nullptr;     // sys.label: names, kinds, buckets, ...
   Hierarchy* metric = nullptr;    // sys.metric: dotted metric-name tree
   Hierarchy* severity = nullptr;  // sys.severity: debug ⊃ info ⊃ warn ⊃ error
-  Hierarchy* num = nullptr;       // sys.num: interned integer measures
+  Hierarchy* num = nullptr;       // sys.num: interned measures
   Hierarchy* text = nullptr;      // sys.text: free-form strings
   Hierarchy* waitsite = nullptr;  // sys.waitsite: wait class ⊃ wait site
   Hierarchy* alertsev = nullptr;  // sys.alertsev: info ⊃ warn ⊃ crit
 };
+
+Value Num(uint64_t v) { return Value::Int(static_cast<int64_t>(v)); }
+Value Str(std::string s) { return Value::String(std::move(s)); }
 
 /// Interns a metric name into the metric-name hierarchy: one class per
 /// dotted prefix ("pool", "pool.thread0"), the full name as an instance
@@ -56,9 +63,10 @@ NodeId InternMetricName(Hierarchy& h, const std::string& name) {
 
 /// Interns a wait site under its wait-class class node (added at
 /// registration), so `ALL latch` covers every latch site.
-NodeId InternWaitSite(Hierarchy& h, WaitClass cls, const std::string& site) {
+NodeId InternWaitSite(Hierarchy& h, const std::string& cls,
+                      const std::string& site) {
   NodeId parent = h.root();
-  Result<NodeId> cls_node = h.FindClass(WaitClassName(cls));
+  Result<NodeId> cls_node = h.FindClass(cls);
   if (cls_node.ok()) parent = *cls_node;
   Result<NodeId> instance = h.FindInstance(Value::String(site));
   if (instance.ok()) return *instance;
@@ -66,9 +74,9 @@ NodeId InternWaitSite(Hierarchy& h, WaitClass cls, const std::string& site) {
   return added.ok() ? *added : h.Intern(Value::String(site));
 }
 
-/// Common shape of a provider: fixed name + schema, rows built fresh on
-/// every Materialize. schema() refreshes the hierarchy domains first so
-/// WHERE terms resolve at plan-compile time.
+/// Common shape of a provider: fixed name + schema, and one row source,
+/// Rows(). Interning lives here: RefreshDomains and Materialize are the
+/// two loops over Rows() that map values to hierarchy nodes.
 class SysProviderBase : public VirtualRelationProvider {
  public:
   SysProviderBase(std::string name, Schema schema, SysDomains domains)
@@ -77,31 +85,40 @@ class SysProviderBase : public VirtualRelationProvider {
         domains_(domains) {}
 
   const std::string& name() const override { return name_; }
+  const Schema& schema() const override { return schema_; }
+  size_t EstimatedRows() override { return Rows().size(); }
 
-  const Schema& schema() override {
-    RefreshDomains();
-    return schema_;
+  void RefreshDomains() override {
+    for (const VirtualRow& row : Rows()) {
+      for (size_t c = 0; c < row.size(); ++c) Intern(row, c);
+    }
   }
 
- protected:
-  virtual void RefreshDomains() {}
-
-  HierarchicalRelation NewRelation() const {
-    return HierarchicalRelation(name_, schema_);
+  Result<HierarchicalRelation> Materialize() override {
+    HierarchicalRelation rel(name_, schema_);
+    for (const VirtualRow& row : Rows()) {
+      Item item(row.size());
+      for (size_t c = 0; c < row.size(); ++c) item[c] = Intern(row, c);
+      HIREL_RETURN_IF_ERROR(
+          rel.Upsert(std::move(item), Truth::kPositive).status());
+    }
+    return rel;
   }
 
-  static Status AddRow(HierarchicalRelation& rel, Item item) {
-    return rel.Upsert(std::move(item), Truth::kPositive).status();
-  }
-
-  NodeId Label(const std::string& s) {
-    return domains_.label->Intern(Value::String(s));
-  }
-  NodeId Num(uint64_t v) {
-    return domains_.num->Intern(Value::Int(static_cast<int64_t>(v)));
-  }
-  NodeId Text(const std::string& s) {
-    return domains_.text->Intern(Value::String(s));
+ private:
+  /// The node for column `c` of `row`. Metric names and wait sites keep
+  /// their class structure; every other value (severities included,
+  /// whose chain instances exist from registration) interns flat.
+  NodeId Intern(const VirtualRow& row, size_t c) {
+    Hierarchy& h = *schema_.hierarchy(c);
+    const Value& value = row[c];
+    if (&h == domains_.metric) return InternMetricName(h, value.AsString());
+    if (&h == domains_.waitsite) {
+      // A site interns under the class its row names in wait_class.
+      const Value& cls = row[schema_.IndexOf("wait_class").value()];
+      return InternWaitSite(h, cls.AsString(), value.AsString());
+    }
+    return h.Intern(value);
   }
 
   std::string name_;
@@ -109,142 +126,93 @@ class SysProviderBase : public VirtualRelationProvider {
   SysDomains domains_;
 };
 
-// ----- sys.metrics ----------------------------------------------------------
-
-class SysMetricsProvider : public SysProviderBase {
+/// Provider whose rows are produced by a callable, for the relations
+/// whose row source needs no state beyond what the callable captures.
+template <typename RowSource>
+class SysProvider : public SysProviderBase {
  public:
-  SysMetricsProvider(std::string name, Schema schema, SysDomains domains,
-                     const Database* db)
+  SysProvider(std::string name, Schema schema, SysDomains domains,
+              RowSource rows)
       : SysProviderBase(std::move(name), std::move(schema), domains),
-        db_(db) {}
+        rows_(std::move(rows)) {}
 
-  size_t EstimatedRows() override {
-    const MetricsRegistry& m = db_->metrics();
-    return m.counters().size() + m.gauges().size() +
-           8 * m.histograms().size();
-  }
-
-  Result<HierarchicalRelation> Materialize() override {
-    RefreshDomains();
-    HierarchicalRelation rel = NewRelation();
-    const MetricsRegistry& m = db_->metrics();
-    NodeId counter_kind = Label("counter");
-    NodeId gauge_kind = Label("gauge");
-    NodeId histogram_kind = Label("histogram");
-    NodeId no_bucket = Label("-");
-    for (const auto& [metric, c] : m.counters()) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{InternMetricName(*domains_.metric, metric), counter_kind,
-                    Num(c->value()), no_bucket}));
-    }
-    for (const auto& [metric, g] : m.gauges()) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{InternMetricName(*domains_.metric, metric), gauge_kind,
-                    Num(static_cast<uint64_t>(g->value())), no_bucket}));
-    }
-    for (const auto& [metric, h] : m.histograms()) {
-      NodeId metric_node = InternMetricName(*domains_.metric, metric);
-      HIREL_RETURN_IF_ERROR(AddRow(rel, Item{metric_node, histogram_kind,
-                                             Num(h->count()),
-                                             Label("count")}));
-      HIREL_RETURN_IF_ERROR(AddRow(rel, Item{metric_node, histogram_kind,
-                                             Num(h->sum_ns()),
-                                             Label("sum_ns")}));
-      HIREL_RETURN_IF_ERROR(AddRow(rel, Item{metric_node, histogram_kind,
-                                             Num(h->max_ns()),
-                                             Label("max_ns")}));
-      if (h->count() > 0) {
-        HIREL_RETURN_IF_ERROR(AddRow(rel, Item{metric_node, histogram_kind,
-                                               Num(h->QuantileNs(0.5)),
-                                               Label("p50_ns")}));
-        HIREL_RETURN_IF_ERROR(AddRow(rel, Item{metric_node, histogram_kind,
-                                               Num(h->QuantileNs(0.9)),
-                                               Label("p90_ns")}));
-        HIREL_RETURN_IF_ERROR(AddRow(rel, Item{metric_node, histogram_kind,
-                                               Num(h->QuantileNs(0.99)),
-                                               Label("p99_ns")}));
-      }
-      for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-        if (h->bucket(i) == 0) continue;
-        uint64_t bound = Histogram::BucketBound(i);
-        NodeId bucket = bound > 0 ? Label(StrCat("le_", bound, "_ns"))
-                                  : Label("overflow");
-        HIREL_RETURN_IF_ERROR(AddRow(rel, Item{metric_node, histogram_kind,
-                                               Num(h->bucket(i)),
-                                               bucket}));
-      }
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    SyncEngineGauges(*db_);
-    const MetricsRegistry& m = db_->metrics();
-    for (const auto& [metric, c] : m.counters()) {
-      InternMetricName(*domains_.metric, metric);
-      Num(c->value());
-    }
-    for (const auto& [metric, g] : m.gauges()) {
-      InternMetricName(*domains_.metric, metric);
-      Num(static_cast<uint64_t>(g->value()));
-    }
-    for (const auto& [metric, _] : m.histograms()) {
-      InternMetricName(*domains_.metric, metric);
-    }
-  }
+  std::vector<VirtualRow> Rows() override { return rows_(); }
 
  private:
-  const Database* db_;
+  RowSource rows_;
 };
 
-// ----- sys.log --------------------------------------------------------------
+// ----- row sources -----------------------------------------------------------
 
-class SysLogProvider : public SysProviderBase {
- public:
-  using SysProviderBase::SysProviderBase;
-
-  size_t EstimatedRows() override {
-    return Logger::Global().ring().size();
+std::vector<VirtualRow> MetricsRows(const Database& db,
+                                    const SysSources& sources) {
+  SyncEngineGauges(db, sources);
+  const MetricsRegistry& m = db.metrics();
+  std::vector<VirtualRow> rows;
+  auto add = [&](const std::string& name, const char* kind, Value value,
+                 std::string bucket) {
+    rows.push_back({Str(name), Str(kind), std::move(value),
+                    Str(std::move(bucket))});
+  };
+  for (const auto& [name, c] : m.counters()) {
+    add(name, "counter", Num(c->value()), "-");
   }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    for (const LogEvent& event : Logger::Global().ring().Snapshot()) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{Num(event.seq), Num(event.unix_micros),
-                    domains_.severity->Intern(
-                        Value::String(LogLevelName(event.level))),
-                    Label(event.component),
-                    Text(StrCat(event.event, FieldsSuffix(event)))}));
+  for (const auto& [name, g] : m.gauges()) {
+    add(name, "gauge", Value::Int(g->value()), "-");
+  }
+  for (const auto& [name, h] : m.histograms()) {
+    add(name, "histogram", Num(h->count()), "count");
+    add(name, "histogram", Num(h->sum_ns()), "sum_ns");
+    add(name, "histogram", Num(h->max_ns()), "max_ns");
+    if (h->count() > 0) {
+      add(name, "histogram", Num(h->QuantileNs(0.5)), "p50_ns");
+      add(name, "histogram", Num(h->QuantileNs(0.9)), "p90_ns");
+      add(name, "histogram", Num(h->QuantileNs(0.99)), "p99_ns");
     }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    // Interning grows with the ring contents, which are bounded by the
-    // ring capacity; severity instances were added at registration.
-    for (const LogEvent& event : Logger::Global().ring().Snapshot()) {
-      Num(event.seq);
-      Num(event.unix_micros);
-      Label(event.component);
-      Text(StrCat(event.event, FieldsSuffix(event)));
+    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+      if (h->bucket(i) == 0) continue;
+      uint64_t bound = Histogram::BucketBound(i);
+      add(name, "histogram", Num(h->bucket(i)),
+          bound > 0 ? StrCat("le_", bound, "_ns") : std::string("overflow"));
     }
   }
+  return rows;
+}
 
- private:
-  static std::string FieldsSuffix(const LogEvent& event) {
-    std::string out;
+std::vector<VirtualRow> LogRows() {
+  std::vector<VirtualRow> rows;
+  for (const LogEvent& event : Logger::Global().ring().Snapshot()) {
+    std::string message;
     for (const auto& [key, value] : event.fields) {
-      out += StrCat(" ", key, "=", value);
+      if (!message.empty()) message += ' ';
+      message += StrCat(key, "=", value);
     }
-    return out;
+    rows.push_back({Num(event.seq), Num(event.unix_micros),
+                    Str(LogLevelName(event.level)), Str(event.component),
+                    Str(event.event), Str(std::move(message))});
   }
-};
+  return rows;
+}
 
-// ----- sys.relations --------------------------------------------------------
+std::vector<VirtualRow> RelationsRows(const Database& db) {
+  std::vector<VirtualRow> rows;
+  for (const std::string& stored : db.RelationNames()) {
+    Result<const HierarchicalRelation*> r = db.GetRelation(stored);
+    if (!r.ok()) continue;
+    rows.push_back({Str(stored), Num((*r)->size()), Num((*r)->num_chunks()),
+                    Num((*r)->ApproxBytes())});
+  }
+  for (const std::string& name : db.VirtualRelationNames()) {
+    VirtualRelationProvider* provider = db.FindVirtualRelation(name);
+    if (provider == nullptr) continue;
+    rows.push_back({Str(name), Num(provider->EstimatedRows()), Num(0),
+                    Num(0)});
+  }
+  return rows;
+}
 
+/// sys.relations counts every virtual relation's rows, its own included,
+/// so its own estimate must not recurse into Rows().
 class SysRelationsProvider : public SysProviderBase {
  public:
   SysRelationsProvider(std::string name, Schema schema, SysDomains domains,
@@ -252,400 +220,175 @@ class SysRelationsProvider : public SysProviderBase {
       : SysProviderBase(std::move(name), std::move(schema), domains),
         db_(db) {}
 
+  std::vector<VirtualRow> Rows() override { return RelationsRows(*db_); }
   size_t EstimatedRows() override {
     return db_->RelationNames().size() + db_->VirtualRelationNames().size();
   }
 
-  Result<HierarchicalRelation> Materialize() override {
-    RefreshDomains();
-    HierarchicalRelation rel = NewRelation();
-    for (const std::string& stored : db_->RelationNames()) {
-      Result<const HierarchicalRelation*> r = db_->GetRelation(stored);
-      if (!r.ok()) continue;
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{Label(stored), Label("row"), Num((*r)->size()),
-                    Num((*r)->num_chunks()), Num((*r)->ApproxBytes())}));
-    }
-    NodeId virt = Label("virtual");
-    for (const std::string& name : db_->VirtualRelationNames()) {
-      VirtualRelationProvider* provider = db_->FindVirtualRelation(name);
-      if (provider == nullptr) continue;
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{Label(name), virt, Num(provider->EstimatedRows()),
-                    Num(0), Num(0)}));
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    for (const std::string& stored : db_->RelationNames()) Label(stored);
-    for (const std::string& name : db_->VirtualRelationNames()) Label(name);
-    Label("row");
-    Label("virtual");
-  }
-
  private:
   const Database* db_;
 };
 
-// ----- sys.columns ----------------------------------------------------------
-
-class SysColumnsProvider : public SysProviderBase {
- public:
-  SysColumnsProvider(std::string name, Schema schema, SysDomains domains,
-                     const Database* db)
-      : SysProviderBase(std::move(name), std::move(schema), domains),
-        db_(db) {}
-
-  size_t EstimatedRows() override {
-    size_t rows = 0;
-    for (const std::string& stored : db_->RelationNames()) {
-      Result<const HierarchicalRelation*> r = db_->GetRelation(stored);
-      if (r.ok()) rows += (*r)->ColumnInfo().size();
-    }
-    return rows;
-  }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    for (const std::string& stored : db_->RelationNames()) {
-      Result<const HierarchicalRelation*> r = db_->GetRelation(stored);
-      if (!r.ok()) continue;
-      for (const StorageColumnInfo& col : (*r)->ColumnInfo()) {
-        HIREL_RETURN_IF_ERROR(AddRow(
-            rel, Item{Label(stored), Label(col.name), Num(col.bytes)}));
-      }
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    for (const std::string& stored : db_->RelationNames()) {
-      Label(stored);
-      Result<const HierarchicalRelation*> r = db_->GetRelation(stored);
-      if (!r.ok()) continue;
-      for (const StorageColumnInfo& col : (*r)->ColumnInfo()) {
-        Label(col.name);
-      }
+std::vector<VirtualRow> ColumnsRows(const Database& db) {
+  std::vector<VirtualRow> rows;
+  for (const std::string& stored : db.RelationNames()) {
+    Result<const HierarchicalRelation*> r = db.GetRelation(stored);
+    if (!r.ok()) continue;
+    for (const StorageColumnInfo& col : (*r)->ColumnInfo()) {
+      rows.push_back({Str(stored), Str(col.name), Num(col.bytes)});
     }
   }
+  return rows;
+}
 
- private:
-  const Database* db_;
-};
-
-// ----- sys.cache ------------------------------------------------------------
-
-class SysCacheProvider : public SysProviderBase {
- public:
-  SysCacheProvider(std::string name, Schema schema, SysDomains domains,
-                   const Database* db)
-      : SysProviderBase(std::move(name), std::move(schema), domains),
-        db_(db) {}
-
-  size_t EstimatedRows() override {
-    return db_->subsumption_cache().size();
-  }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    for (const SubsumptionCache::EntryInfo& entry : Entries()) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{Label(entry.relation), Num(entry.relation_version),
+std::vector<VirtualRow> CacheRows(const Database& db) {
+  std::vector<VirtualRow> rows;
+  for (const SubsumptionCache::EntryInfo& entry :
+       db.subsumption_cache().Entries()) {
+    rows.push_back({Str(entry.relation), Num(entry.relation_version),
                     Num(entry.graph_nodes), Num(entry.patches),
-                    Num(entry.rebuilds)}));
-    }
-    return rel;
+                    Num(entry.rebuilds)});
   }
+  return rows;
+}
 
- protected:
-  void RefreshDomains() override {
-    for (const SubsumptionCache::EntryInfo& entry : Entries()) {
-      Label(entry.relation);
-      Num(entry.relation_version);
-      Num(entry.graph_nodes);
-      Num(entry.patches);
-      Num(entry.rebuilds);
-    }
+std::vector<VirtualRow> PoolRows() {
+  std::vector<VirtualRow> rows;
+  ThreadPool::Stats stats = ThreadPool::Shared().GetStats();
+  for (size_t i = 0; i < stats.per_thread_busy_ns.size(); ++i) {
+    rows.push_back(
+        {Str(i == 0 ? std::string("caller") : StrCat("worker", i - 1)),
+         Num(stats.per_thread_busy_ns[i] / 1'000'000)});
   }
+  return rows;
+}
 
- private:
-  std::vector<SubsumptionCache::EntryInfo> Entries() const {
-    return db_->subsumption_cache().Entries();
+std::vector<VirtualRow> QueriesRows(const QueryHistoryRing* history) {
+  std::vector<VirtualRow> rows;
+  if (history == nullptr) return rows;
+  std::vector<std::shared_ptr<const QueryStats>> entries =
+      history->Snapshot();
+  // Newest first: the most recent statement is the one being debugged.
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    const QueryStats& q = **it;
+    rows.push_back({Num(q.id), Str(q.kind), Str(q.statement),
+                    Value::Bool(q.ok), Num(q.wall_ns / 1000),
+                    Num(q.wait_ns / 1000), Num(q.rows_in), Num(q.rows_out),
+                    Num(q.subsumption_probes), Num(q.peak_tracked_bytes),
+                    Str(q.plan_digest.empty() ? "-" : q.plan_digest),
+                    Num(q.threads)});
   }
+  return rows;
+}
 
-  const Database* db_;
-};
-
-// ----- sys.pool -------------------------------------------------------------
-
-class SysPoolProvider : public SysProviderBase {
- public:
-  using SysProviderBase::SysProviderBase;
-
-  size_t EstimatedRows() override {
-    return ThreadPool::Shared().GetStats().per_thread_busy_ns.size();
-  }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    ThreadPool::Stats stats = ThreadPool::Shared().GetStats();
-    for (size_t i = 0; i < stats.per_thread_busy_ns.size(); ++i) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{Label(ThreadName(i)),
-                    Num(stats.per_thread_busy_ns[i] / 1'000'000)}));
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    ThreadPool::Stats stats = ThreadPool::Shared().GetStats();
-    for (size_t i = 0; i < stats.per_thread_busy_ns.size(); ++i) {
-      Label(ThreadName(i));
-      Num(stats.per_thread_busy_ns[i] / 1'000'000);
+std::vector<VirtualRow> WaitsRows() {
+  std::vector<VirtualRow> rows;
+  const std::vector<WaitEventRegistry::SiteSnapshot> sites =
+      WaitEventRegistry::Global().Snapshot();
+  for (size_t cls = 0; cls < kNumWaitClasses; ++cls) {
+    for (const auto& site : sites) {
+      // Never-hit sites stay invisible.
+      if (static_cast<size_t>(site.cls) != cls || site.count == 0) continue;
+      auto quantile_us = [&](double q) {
+        return Num(WaitEventRegistry::SiteQuantileNs(site, q) / 1000);
+      };
+      rows.push_back({Str(site.name), Str(WaitClassName(site.cls)),
+                      Num(site.count), Num(site.total_ns / 1000),
+                      Num(site.max_ns / 1000), quantile_us(0.5),
+                      quantile_us(0.9), quantile_us(0.99)});
     }
   }
+  return rows;
+}
 
- private:
-  static std::string ThreadName(size_t i) {
-    return i == 0 ? std::string("caller") : StrCat("worker", i - 1);
+/// Value change per second between the oldest and newest retained
+/// samples (0 with fewer than two). Meaningful for counters; gauges
+/// report the same delta/dt, signed.
+double RatePerS(const TelemetrySampler::SeriesSnapshot& s) {
+  if (s.samples.size() < 2) return 0.0;
+  const auto& first = s.samples.front();
+  const auto& last = s.samples.back();
+  if (last.ts_ms <= first.ts_ms) return 0.0;
+  return (static_cast<double>(static_cast<int64_t>(last.value)) -
+          static_cast<double>(static_cast<int64_t>(first.value))) *
+         1000.0 / static_cast<double>(last.ts_ms - first.ts_ms);
+}
+
+const char* SeriesKindName(char kind) {
+  switch (kind) {
+    case 'g':
+      return "gauge";
+    case 'h':
+      return "histogram";
+    default:
+      return "counter";
   }
-};
+}
 
-// ----- sys.queries ----------------------------------------------------------
-
-class SysQueriesProvider : public SysProviderBase {
- public:
-  SysQueriesProvider(std::string name, Schema schema, SysDomains domains,
-                     const QueryHistoryRing* history)
-      : SysProviderBase(std::move(name), std::move(schema), domains),
-        history_(history) {}
-
-  size_t EstimatedRows() override {
-    if (history_ == nullptr) return 0;
-    uint64_t total = history_->total_recorded();
-    return total < history_->capacity() ? total : history_->capacity();
+std::vector<VirtualRow> TelemetryRows(const TelemetrySampler* telemetry) {
+  std::vector<VirtualRow> rows;
+  if (telemetry == nullptr) return rows;
+  for (const auto& s : telemetry->Snapshot()) {
+    rows.push_back({Str(s.name), Str(SeriesKindName(s.kind)),
+                    Value::Int(static_cast<int64_t>(s.last)),
+                    Value::Int(static_cast<int64_t>(s.min)),
+                    Value::Int(static_cast<int64_t>(s.max)),
+                    Num(s.samples.size()), Value::Double(RatePerS(s))});
   }
+  return rows;
+}
 
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    if (history_ == nullptr) return rel;
-    for (const auto& q : history_->Snapshot()) {
-      HIREL_RETURN_IF_ERROR(AddRow(rel, RowFor(*q)));
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    if (history_ == nullptr) return;
-    for (const auto& q : history_->Snapshot()) RowFor(*q);
-  }
-
- private:
-  Item RowFor(const QueryStats& q) {
-    uint64_t wall_us = q.wall_ns / 1000;
-    if (wall_us == 0) wall_us = 1;
-    return Item{Num(q.id),
-                Label(q.kind),
-                Text(q.statement),
-                Num(wall_us),
-                Num(q.wait_ns / 1000),
-                Num(q.rows_in),
-                Num(q.rows_out),
-                Num(q.subsumption_probes),
-                Num(q.peak_tracked_bytes),
-                Label(q.plan_digest.empty() ? "-" : q.plan_digest),
-                Num(q.threads)};
-  }
-
-  const QueryHistoryRing* history_;
-};
-
-// ----- sys.waits ------------------------------------------------------------
-
-class SysWaitsProvider : public SysProviderBase {
- public:
-  using SysProviderBase::SysProviderBase;
-
-  size_t EstimatedRows() override {
-    return WaitEventRegistry::Global().Snapshot().size();
-  }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    for (const auto& site : WaitEventRegistry::Global().Snapshot()) {
-      if (site.count == 0) continue;  // never-hit sites stay invisible
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{InternWaitSite(*domains_.waitsite, site.cls, site.name),
-                    Label(WaitClassName(site.cls)), Num(site.count),
-                    Num(site.total_ns / 1000), Num(site.max_ns / 1000)}));
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    for (const auto& site : WaitEventRegistry::Global().Snapshot()) {
-      if (site.count == 0) continue;
-      InternWaitSite(*domains_.waitsite, site.cls, site.name);
-      Label(WaitClassName(site.cls));
-      Num(site.count);
-      Num(site.total_ns / 1000);
-      Num(site.max_ns / 1000);
+std::vector<VirtualRow> MetricsHistoryRows(
+    const TelemetrySampler* telemetry) {
+  std::vector<VirtualRow> rows;
+  if (telemetry == nullptr) return rows;
+  for (const auto& series : telemetry->Snapshot()) {
+    for (const auto& sample : series.samples) {
+      rows.push_back({Str(series.name), Num(sample.seq), Num(sample.ts_ms),
+                      Num(sample.epoch_ms), Num(sample.value)});
     }
   }
-};
+  return rows;
+}
 
-// ----- sys.metrics_history --------------------------------------------------
-
-class SysMetricsHistoryProvider : public SysProviderBase {
- public:
-  SysMetricsHistoryProvider(std::string name, Schema schema,
-                            SysDomains domains,
-                            const TelemetrySampler* telemetry)
-      : SysProviderBase(std::move(name), std::move(schema), domains),
-        telemetry_(telemetry) {}
-
-  size_t EstimatedRows() override {
-    if (telemetry_ == nullptr) return 0;
-    size_t rows = 0;
-    for (const auto& series : telemetry_->Snapshot()) {
-      rows += series.samples.size();
-    }
-    return rows;
+std::vector<VirtualRow> AlertsRows(const AlertManager* alerts) {
+  std::vector<VirtualRow> rows;
+  if (alerts == nullptr) return rows;
+  for (const AlertSnapshot& a : alerts->Snapshot()) {
+    rows.push_back({Str(a.rule.name), Str(AlertSeverityName(a.rule.severity)),
+                    Str(AlertStateName(a.state)), Str(a.rule.metric),
+                    Str(AlertOpText(a.rule.op)), Value::Int(a.rule.threshold),
+                    Num(a.rule.for_samples), Value::Bool(a.rule.builtin),
+                    a.has_value ? Value::Int(a.last_value) : Str("-"),
+                    Num(a.consecutive), Num(a.fires), Num(a.fired_seq),
+                    Num(a.fired_epoch_ms), Num(a.resolved_seq)});
   }
+  return rows;
+}
 
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    if (telemetry_ == nullptr) return rel;
-    for (const auto& series : telemetry_->Snapshot()) {
-      NodeId metric_node = InternMetricName(*domains_.metric, series.name);
-      for (const auto& sample : series.samples) {
-        HIREL_RETURN_IF_ERROR(
-            AddRow(rel, Item{metric_node, Num(sample.seq), Num(sample.ts_ms),
-                             Num(sample.epoch_ms), Num(sample.value)}));
-      }
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    if (telemetry_ == nullptr) return;
-    for (const auto& series : telemetry_->Snapshot()) {
-      InternMetricName(*domains_.metric, series.name);
-      for (const auto& sample : series.samples) {
-        Num(sample.seq);
-        Num(sample.ts_ms);
-        Num(sample.epoch_ms);
-        Num(sample.value);
-      }
+std::vector<VirtualRow> HealthRows(const AlertManager* alerts) {
+  std::vector<VirtualRow> rows;
+  if (alerts == nullptr) return rows;
+  const std::vector<ComponentHealth> health = DeriveHealth(alerts->Snapshot());
+  // The overall verdict is the worst component's, naming its worst alert.
+  ComponentHealth overall;
+  overall.component = "overall";
+  for (const ComponentHealth& c : health) {
+    overall.firing += c.firing;
+    if (c.verdict > overall.verdict) {
+      overall.verdict = c.verdict;
+      overall.worst_alert = c.worst_alert;
     }
   }
-
- private:
-  const TelemetrySampler* telemetry_;
-};
-
-// ----- sys.alerts -----------------------------------------------------------
-
-class SysAlertsProvider : public SysProviderBase {
- public:
-  SysAlertsProvider(std::string name, Schema schema, SysDomains domains,
-                    const AlertManager* alerts)
-      : SysProviderBase(std::move(name), std::move(schema), domains),
-        alerts_(alerts) {}
-
-  size_t EstimatedRows() override {
-    return alerts_ == nullptr ? 0 : alerts_->Snapshot().size();
-  }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    if (alerts_ == nullptr) return rel;
-    for (const AlertSnapshot& a : alerts_->Snapshot()) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel,
-          Item{Label(a.rule.name), Severity(a.rule.severity),
-               Label(AlertStateName(a.state)),
-               InternMetricName(*domains_.metric, a.rule.metric),
-               Num(static_cast<uint64_t>(a.last_value)),
-               Num(static_cast<uint64_t>(a.rule.threshold)), Num(a.fires)}));
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    if (alerts_ == nullptr) return;
-    for (const AlertSnapshot& a : alerts_->Snapshot()) {
-      Label(a.rule.name);
-      Label(AlertStateName(a.state));
-      InternMetricName(*domains_.metric, a.rule.metric);
-      Num(static_cast<uint64_t>(a.last_value));
-      Num(static_cast<uint64_t>(a.rule.threshold));
-      Num(a.fires);
-    }
-    // Severity instances were added at registration; state labels that
-    // have not occurred yet still need to resolve in WHERE terms.
-    for (AlertState s : {AlertState::kOk, AlertState::kPending,
-                         AlertState::kFiring, AlertState::kResolved}) {
-      Label(AlertStateName(s));
-    }
-  }
-
- private:
-  NodeId Severity(AlertSeverity severity) {
-    return domains_.alertsev->Intern(
-        Value::String(AlertSeverityName(severity)));
-  }
-
-  const AlertManager* alerts_;
-};
-
-// ----- sys.health -----------------------------------------------------------
-
-class SysHealthProvider : public SysProviderBase {
- public:
-  SysHealthProvider(std::string name, Schema schema, SysDomains domains,
-                    const AlertManager* alerts)
-      : SysProviderBase(std::move(name), std::move(schema), domains),
-        alerts_(alerts) {}
-
-  size_t EstimatedRows() override { return 5; }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    if (alerts_ == nullptr) return rel;
-    for (const ComponentHealth& c : DeriveHealth(alerts_->Snapshot())) {
-      HIREL_RETURN_IF_ERROR(
-          AddRow(rel, Item{Label(c.component),
-                           Label(HealthVerdictName(c.verdict)),
-                           Num(c.firing)}));
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    if (alerts_ == nullptr) return;
-    for (const ComponentHealth& c : DeriveHealth(alerts_->Snapshot())) {
-      Label(c.component);
-      Num(c.firing);
-    }
-    for (HealthVerdict v : {HealthVerdict::kOk, HealthVerdict::kDegraded,
-                            HealthVerdict::kCritical}) {
-      Label(HealthVerdictName(v));
-    }
-  }
-
- private:
-  const AlertManager* alerts_;
-};
+  auto add = [&](const ComponentHealth& c) {
+    rows.push_back({Str(c.component), Str(HealthVerdictName(c.verdict)),
+                    Num(c.firing),
+                    Str(c.worst_alert.empty() ? "-" : c.worst_alert)});
+  };
+  add(overall);
+  for (const ComponentHealth& c : health) add(c);
+  return rows;
+}
 
 Schema MakeSchema(
     std::initializer_list<std::pair<const char*, Hierarchy*>> attrs) {
@@ -658,139 +401,190 @@ Schema MakeSchema(
   return schema;
 }
 
-}  // namespace
-
-void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
-                           const TelemetrySampler* telemetry,
-                           const AlertManager* alerts) {
-  SysDomains domains;
-  domains.label = db.AddSysHierarchy("sys.label");
-  domains.metric = db.AddSysHierarchy("sys.metric");
-  domains.severity = db.AddSysHierarchy("sys.severity");
-  domains.num = db.AddSysHierarchy("sys.num");
-  domains.text = db.AddSysHierarchy("sys.text");
-  domains.waitsite = db.AddSysHierarchy("sys.waitsite");
-  domains.alertsev = db.AddSysHierarchy("sys.alertsev");
-
-  // Severity: a chain of classes from general (debug: every event) to
-  // specific (error), each holding its level's events as an instance, so
-  // `ALL warn` covers warn and error.
-  NodeId parent = domains.severity->root();
-  for (const char* level : {"debug", "info", "warn", "error"}) {
-    Result<NodeId> cls = domains.severity->AddClass(level, parent);
+/// Adds a chain of classes from general to specific, each holding its own
+/// level as an instance, so `ALL <level>` covers that level and every
+/// more specific one.
+void AddSeverityChain(Hierarchy& h, std::initializer_list<const char*> levels) {
+  NodeId parent = h.root();
+  for (const char* level : levels) {
+    Result<NodeId> cls = h.AddClass(level, parent);
     if (!cls.ok()) break;  // unreachable: fresh hierarchy
-    (void)domains.severity->AddInstance(Value::String(level), *cls);
+    (void)h.AddInstance(Value::String(level), *cls);
     parent = *cls;
   }
+}
 
-  // Alert severities: the same chain construction as sys.log's levels —
-  // info (every alert) ⊃ warn ⊃ crit — so `ALL warn` covers warn + crit.
-  NodeId sev_parent = domains.alertsev->root();
-  for (const char* level : {"info", "warn", "crit"}) {
-    Result<NodeId> cls = domains.alertsev->AddClass(level, sev_parent);
-    if (!cls.ok()) break;  // unreachable: fresh hierarchy
-    (void)domains.alertsev->AddInstance(Value::String(level), *cls);
-    sev_parent = *cls;
+void AppendJsonValue(std::string& out, const Value& value) {
+  switch (value.type()) {
+    case ValueType::kString:
+      AppendJsonString(out, value.AsString());
+      return;
+    case ValueType::kDouble:
+      out += std::isfinite(value.AsDouble()) ? value.ToString() : "null";
+      return;
+    default:  // ints, booleans and null print as their JSON literals
+      out += value.ToString();
   }
+}
 
+void AppendRowsJson(std::string& out, VirtualRelationProvider& provider) {
+  const Schema& schema = provider.schema();
+  out += '[';
+  bool first_row = true;
+  for (const VirtualRow& row : provider.Rows()) {
+    if (!first_row) out += ',';
+    first_row = false;
+    out += '{';
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (c > 0) out += ',';
+      AppendJsonString(out, schema.name(c));
+      out += ':';
+      AppendJsonValue(out, row[c]);
+    }
+    out += '}';
+  }
+  out += ']';
+}
+
+}  // namespace
+
+void RegisterSystemCatalog(Database& db, const SysSources& sources) {
+  SysDomains d;
+  d.label = db.AddSysHierarchy("sys.label");
+  d.metric = db.AddSysHierarchy("sys.metric");
+  d.severity = db.AddSysHierarchy("sys.severity");
+  d.num = db.AddSysHierarchy("sys.num");
+  d.text = db.AddSysHierarchy("sys.text");
+  d.waitsite = db.AddSysHierarchy("sys.waitsite");
+  d.alertsev = db.AddSysHierarchy("sys.alertsev");
+
+  AddSeverityChain(*d.severity, {"debug", "info", "warn", "error"});
+  AddSeverityChain(*d.alertsev, {"info", "warn", "crit"});
   // Wait classes: flat classes under the root; sites intern as instances
   // beneath their class, so `ALL io` covers every io site.
   for (size_t i = 0; i < kNumWaitClasses; ++i) {
-    (void)domains.waitsite->AddClass(WaitClassName(static_cast<WaitClass>(i)),
-                                     domains.waitsite->root());
+    (void)d.waitsite->AddClass(WaitClassName(static_cast<WaitClass>(i)),
+                               d.waitsite->root());
+  }
+  // States and verdicts that have not occurred yet still resolve in WHERE
+  // terms.
+  for (AlertState s : {AlertState::kOk, AlertState::kPending,
+                       AlertState::kFiring, AlertState::kResolved}) {
+    d.label->Intern(Value::String(AlertStateName(s)));
+  }
+  for (HealthVerdict v : {HealthVerdict::kOk, HealthVerdict::kDegraded,
+                          HealthVerdict::kCritical}) {
+    d.label->Intern(Value::String(HealthVerdictName(v)));
   }
 
-  (void)db.RegisterVirtualRelation(std::make_unique<SysMetricsProvider>(
-      "sys.metrics",
-      MakeSchema({{"name", domains.metric},
-                  {"kind", domains.label},
-                  {"value", domains.num},
-                  {"bucket", domains.label}}),
-      domains, &db));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysLogProvider>(
-      "sys.log",
-      MakeSchema({{"seq", domains.num},
-                  {"ts_us", domains.num},
-                  {"level", domains.severity},
-                  {"component", domains.label},
-                  {"message", domains.text}}),
-      domains));
+  auto add = [&](const char* name, Schema schema, auto rows) {
+    (void)db.RegisterVirtualRelation(
+        std::make_unique<SysProvider<decltype(rows)>>(name, std::move(schema),
+                                                      d, std::move(rows)));
+  };
+  const Database* dbp = &db;
+  add("sys.metrics",
+      MakeSchema({{"name", d.metric},
+                  {"kind", d.label},
+                  {"value", d.num},
+                  {"bucket", d.label}}),
+      [dbp, sources] { return MetricsRows(*dbp, sources); });
+  add("sys.log",
+      MakeSchema({{"seq", d.num},
+                  {"ts_us", d.num},
+                  {"level", d.severity},
+                  {"component", d.label},
+                  {"event", d.label},
+                  {"message", d.text}}),
+      [] { return LogRows(); });
   (void)db.RegisterVirtualRelation(std::make_unique<SysRelationsProvider>(
       "sys.relations",
-      MakeSchema({{"relation", domains.label},
-                  {"storage", domains.label},
-                  {"tuples", domains.num},
-                  {"chunks", domains.num},
-                  {"bytes", domains.num}}),
-      domains, &db));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysColumnsProvider>(
-      "sys.columns",
-      MakeSchema({{"relation", domains.label},
-                  {"column", domains.label},
-                  {"col_bytes", domains.num}}),
-      domains, &db));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysCacheProvider>(
-      "sys.cache",
-      MakeSchema({{"relation", domains.label},
-                  {"version", domains.num},
-                  {"graph_nodes", domains.num},
-                  {"patched", domains.num},
-                  {"rebuilt", domains.num}}),
-      domains, &db));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysPoolProvider>(
-      "sys.pool",
-      MakeSchema({{"thread", domains.label}, {"busy_ms", domains.num}}),
-      domains));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysQueriesProvider>(
-      "sys.queries",
-      MakeSchema({{"id", domains.num},
-                  {"kind", domains.label},
-                  {"statement", domains.text},
-                  {"wall_us", domains.num},
-                  {"wait_us", domains.num},
-                  {"rows_in", domains.num},
-                  {"rows_out", domains.num},
-                  {"probes", domains.num},
-                  {"peak_bytes", domains.num},
-                  {"digest", domains.label},
-                  {"threads", domains.num}}),
-      domains, history));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysWaitsProvider>(
-      "sys.waits",
-      MakeSchema({{"site", domains.waitsite},
-                  {"wait_class", domains.label},
-                  {"waits", domains.num},
-                  {"total_us", domains.num},
-                  {"max_us", domains.num}}),
-      domains));
-  (void)db.RegisterVirtualRelation(
-      std::make_unique<SysMetricsHistoryProvider>(
-          "sys.metrics_history",
-          MakeSchema({{"name", domains.metric},
-                      {"seq", domains.num},
-                      {"ts_ms", domains.num},
-                      {"epoch_ms", domains.num},
-                      {"value", domains.num}}),
-          domains, telemetry));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysAlertsProvider>(
-      "sys.alerts",
-      MakeSchema({{"alert", domains.label},
-                  {"severity", domains.alertsev},
-                  {"state", domains.label},
-                  {"metric", domains.metric},
-                  {"value", domains.num},
-                  {"threshold", domains.num},
-                  {"fires", domains.num}}),
-      domains, alerts));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysHealthProvider>(
-      "sys.health",
-      MakeSchema({{"component", domains.label},
-                  {"verdict", domains.label},
-                  {"firing", domains.num}}),
-      domains, alerts));
+      MakeSchema({{"relation", d.label},
+                  {"tuples", d.num},
+                  {"chunks", d.num},
+                  {"bytes", d.num}}),
+      d, dbp));
+  add("sys.columns",
+      MakeSchema({{"relation", d.label},
+                  {"column", d.label},
+                  {"col_bytes", d.num}}),
+      [dbp] { return ColumnsRows(*dbp); });
+  add("sys.cache",
+      MakeSchema({{"relation", d.label},
+                  {"version", d.num},
+                  {"graph_nodes", d.num},
+                  {"patched", d.num},
+                  {"rebuilt", d.num}}),
+      [dbp] { return CacheRows(*dbp); });
+  add("sys.pool", MakeSchema({{"thread", d.label}, {"busy_ms", d.num}}),
+      [] { return PoolRows(); });
+  add("sys.queries",
+      MakeSchema({{"id", d.num},
+                  {"kind", d.label},
+                  {"statement", d.text},
+                  {"ok", d.label},
+                  {"wall_us", d.num},
+                  {"wait_us", d.num},
+                  {"rows_in", d.num},
+                  {"rows_out", d.num},
+                  {"probes", d.num},
+                  {"peak_bytes", d.num},
+                  {"digest", d.label},
+                  {"threads", d.num}}),
+      [history = sources.history] { return QueriesRows(history); });
+  add("sys.waits",
+      MakeSchema({{"site", d.waitsite},
+                  {"wait_class", d.label},
+                  {"waits", d.num},
+                  {"total_us", d.num},
+                  {"max_us", d.num},
+                  {"p50_us", d.num},
+                  {"p90_us", d.num},
+                  {"p99_us", d.num}}),
+      [] { return WaitsRows(); });
+  add("sys.telemetry",
+      MakeSchema({{"name", d.metric},
+                  {"kind", d.label},
+                  {"last", d.num},
+                  {"min", d.num},
+                  {"max", d.num},
+                  {"samples", d.num},
+                  {"rate_per_s", d.num}}),
+      [telemetry = sources.telemetry] { return TelemetryRows(telemetry); });
+  add("sys.metrics_history",
+      MakeSchema({{"name", d.metric},
+                  {"seq", d.num},
+                  {"ts_ms", d.num},
+                  {"epoch_ms", d.num},
+                  {"value", d.num}}),
+      [telemetry = sources.telemetry] {
+        return MetricsHistoryRows(telemetry);
+      });
+  add("sys.alerts",
+      MakeSchema({{"alert", d.label},
+                  {"severity", d.alertsev},
+                  {"state", d.label},
+                  {"metric", d.metric},
+                  {"op", d.label},
+                  {"threshold", d.num},
+                  {"for_samples", d.num},
+                  {"builtin", d.label},
+                  {"value", d.num},
+                  {"consecutive", d.num},
+                  {"fires", d.num},
+                  {"fired_seq", d.num},
+                  {"fired_epoch_ms", d.num},
+                  {"resolved_seq", d.num}}),
+      [alerts = sources.alerts] { return AlertsRows(alerts); });
+  add("sys.health",
+      MakeSchema({{"component", d.label},
+                  {"verdict", d.label},
+                  {"firing", d.num},
+                  {"worst_alert", d.label}}),
+      [alerts = sources.alerts] { return HealthRows(alerts); });
 }
 
-void SyncEngineGauges(const Database& db) {
+void SyncEngineGauges(const Database& db, const SysSources& sources) {
   MetricsRegistry& m = db.metrics();
   const SubsumptionCache& cache = db.subsumption_cache();
   m.gauge("subsumption_cache.hits")
@@ -835,7 +629,70 @@ void SyncEngineGauges(const Database& db) {
     m.gauge(StrCat("waits.", cls, ".ms"))
         .Set(static_cast<int64_t>(wait_totals[i].total_ns / 1'000'000));
   }
+  m.gauge("log.dropped")
+      .Set(static_cast<int64_t>(Logger::Global().ring().dropped()));
+  if (sources.threads != nullptr) {
+    m.gauge("exec.threads").Set(static_cast<int64_t>(*sources.threads));
+  }
+  if (const TelemetrySampler* t = sources.telemetry; t != nullptr) {
+    m.gauge("telemetry.on").Set(t->running() ? 1 : 0);
+    m.gauge("telemetry.interval_ms")
+        .Set(static_cast<int64_t>(t->interval_ms()));
+    m.gauge("telemetry.ticks").Set(static_cast<int64_t>(t->ticks()));
+    m.gauge("telemetry.ring_capacity")
+        .Set(static_cast<int64_t>(t->ring_capacity()));
+  }
   UpdateProcessGauges(m);
+}
+
+std::string RowsText(VirtualRelationProvider& provider) {
+  const Schema& schema = provider.schema();
+  std::vector<std::string> header;
+  for (size_t c = 0; c < schema.size(); ++c) header.push_back(schema.name(c));
+  std::vector<std::vector<std::string>> cells;
+  for (const VirtualRow& row : provider.Rows()) {
+    std::vector<std::string> line;
+    line.reserve(row.size());
+    for (const Value& value : row) line.push_back(value.ToString());
+    cells.push_back(std::move(line));
+  }
+  return FormatTable(StrCat(provider.name(), " (", cells.size(), " rows)"),
+                     header, cells);
+}
+
+std::string RowsJson(VirtualRelationProvider& provider) {
+  std::string out;
+  AppendRowsJson(out, provider);
+  return out;
+}
+
+std::string DiagnosticsJson(
+    const Database& db, std::string_view cause,
+    const std::vector<std::pair<std::string, std::string>>& config) {
+  const uint64_t now_ms = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  std::string out =
+      StrCat("{\"format\":2,\"engine\":\"hirel\",\"captured_unix_ms\":",
+             now_ms, ",\"cause\":");
+  AppendJsonString(out, cause);
+  out += ",\"config\":{";
+  for (size_t i = 0; i < config.size(); ++i) {
+    if (i > 0) out += ",";
+    AppendJsonString(out, config[i].first);
+    out += ":";
+    AppendJsonString(out, config[i].second);
+  }
+  out += "}";
+  for (const std::string& name : db.VirtualRelationNames()) {
+    out += ",";
+    AppendJsonString(out, name);
+    out += ":";
+    AppendRowsJson(out, *db.FindVirtualRelation(name));
+  }
+  out += "}";
+  return out;
 }
 
 }  // namespace obs

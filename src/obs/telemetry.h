@@ -11,10 +11,10 @@
 // Tests call Tick() directly for a deterministic no-sleep manual mode;
 // the thread body is exactly a timed loop around Tick().
 //
-// Exposure: SHOW TELEMETRY [JSON] renders per-metric min/max/last and an
-// observed rate over the ring window; the sys.metrics_history virtual
-// relation explodes the rings into (name, seq, ts_ms, epoch_ms, value)
-// rows with
+// Exposure: sys.telemetry (SHOW TELEMETRY [JSON]) has one row per series
+// with min/max/last and an observed rate over the ring window; the
+// sys.metrics_history virtual relation explodes the rings into (name,
+// seq, ts_ms, epoch_ms, value) rows with
 // `name` interned into the dotted metric-name hierarchy, so
 // `WHERE name = ALL pool` selects a whole subtree's history by
 // subsumption.

@@ -222,12 +222,13 @@ Status Annotate(PlanNode& node, const Database& db) {
         node.est_cost = node.est_rows;
         break;
       }
-      // Virtual (sys.*) relations: schema from the provider, which also
-      // refreshes its hierarchy domains so WHERE terms over this scan
+      // Virtual (sys.*) relations: schema from the provider, whose
+      // hierarchy domains are refreshed so WHERE terms over this scan
       // resolve before anything is materialized.
       VirtualRelationProvider* provider =
           db.FindVirtualRelation(node.relation);
       if (provider == nullptr) return rel.status();
+      provider->RefreshDomains();
       node.schema = provider->schema();
       node.out_name = provider->name();
       node.est_rows = static_cast<double>(provider->EstimatedRows());

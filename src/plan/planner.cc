@@ -12,8 +12,7 @@ namespace plan {
 namespace {
 
 /// Schema of a scannable name: a stored relation's, or a virtual (sys.*)
-/// provider's — the provider refreshes its hierarchy domains so terms
-/// against the schema resolve at compile time.
+/// provider's.
 Result<const Schema*> ScanSchema(const Database& db,
                                  const std::string& name) {
   Result<const HierarchicalRelation*> rel = db.GetRelation(name);

@@ -1,6 +1,5 @@
 #include "types/value.h"
 
-#include <cmath>
 #include <functional>
 #include <sstream>
 
@@ -36,13 +35,12 @@ std::string Value::ToString() const {
       return std::to_string(AsInt());
     case ValueType::kDouble: {
       std::ostringstream oss;
-      double d = AsDouble();
-      if (d == std::floor(d) && std::isfinite(d)) {
-        oss << d << ".0";
-      } else {
-        oss << d;
-      }
-      return oss.str();
+      oss << AsDouble();
+      std::string out = oss.str();
+      // Whole numbers keep a ".0" so they read as doubles ("2.0"); the
+      // exponent form ("-2.5e+09"), inf and nan already do.
+      if (out.find_first_of(".en") == std::string::npos) out += ".0";
+      return out;
     }
     case ValueType::kString:
       return AsString();

@@ -2,7 +2,8 @@
 // deterministic fire → still-firing → resolve lifecycle driven by manual
 // ticks, FOR-n hysteresis, severity subsumption through sys.alerts, the
 // health verdict, the stall watchdog, SHOW WAITS percentiles, and the
-// EXPORT DIAGNOSTICS / auto-capture bundles.
+// EXPORT DIAGNOSTICS / auto-capture bundles (format 2: one array per
+// sys.* relation).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,7 @@
 
 #include "hql/executor.h"
 #include "obs/alerts.h"
-#include "obs/export.h"
+#include "obs/sys_catalog.h"
 #include "obs/wait.h"
 
 namespace hirel {
@@ -106,16 +107,19 @@ TEST(AlertStatementTest, CreateShowDrop) {
                         .value();
   EXPECT_NE(out.find("alert 'hot'"), std::string::npos);
 
-  out = exec.Execute("SHOW ALERTS;").value();
-  EXPECT_NE(out.find("hot [crit] query.statements >= 10 FOR 2"),
-            std::string::npos);
+  out = exec.Execute("SHOW ALERTS JSON;").value();
+  EXPECT_NE(out.find("{\"alert\":\"hot\",\"severity\":\"crit\",\"state\":"
+                     "\"ok\",\"metric\":\"query.statements\",\"op\":\">=\","
+                     "\"threshold\":10,\"for_samples\":2,\"builtin\":false,"),
+            std::string::npos)
+      << out;
   // The built-in watchdog rules are always listed, marked builtin.
-  EXPECT_NE(out.find("watchdog_slow_query"), std::string::npos);
-  EXPECT_NE(out.find("(builtin)"), std::string::npos);
+  EXPECT_NE(out.find("{\"alert\":\"watchdog_slow_query\","), std::string::npos);
+  EXPECT_NE(out.find("\"builtin\":true"), std::string::npos);
 
   EXPECT_TRUE(exec.Execute("DROP ALERT hot;").ok());
   out = exec.Execute("SHOW ALERTS;").value();
-  EXPECT_EQ(out.find("hot [crit]"), std::string::npos);
+  EXPECT_EQ(out.find("| hot "), std::string::npos);
 }
 
 TEST(AlertStatementTest, ParseAndValidationErrors) {
@@ -261,15 +265,21 @@ TEST(AlertStatementTest, SeveritySubsumptionInSysAlerts) {
 TEST(AlertStatementTest, HealthVerdictFollowsFiringSet) {
   Executor exec;
   ASSERT_TRUE(exec.Execute("SET WATCHDOG_QUERY_MS 600000;").ok());
-  std::string out = exec.Execute("SHOW HEALTH;").value();
-  EXPECT_NE(out.find("health: ok"), std::string::npos);
+  std::string out = exec.Execute("SHOW HEALTH JSON;").value();
+  EXPECT_NE(out.find("{\"component\":\"overall\",\"verdict\":\"ok\""),
+            std::string::npos)
+      << out;
 
   ASSERT_TRUE(
       exec.Execute("CREATE ALERT warny ON query.statements > 1;").ok());
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  out = exec.Execute("SHOW HEALTH;").value();
-  EXPECT_NE(out.find("health: degraded"), std::string::npos);
-  EXPECT_NE(out.find("queries: degraded (1 firing, worst warny)"),
+  out = exec.Execute("SHOW HEALTH JSON;").value();
+  EXPECT_NE(out.find("{\"component\":\"overall\",\"verdict\":\"degraded\","
+                     "\"firing\":1,\"worst_alert\":\"warny\"}"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("{\"component\":\"queries\",\"verdict\":\"degraded\","
+                     "\"firing\":1,\"worst_alert\":\"warny\"}"),
             std::string::npos);
 
   ASSERT_TRUE(
@@ -277,13 +287,15 @@ TEST(AlertStatementTest, HealthVerdictFollowsFiringSet) {
               "CREATE ALERT crity ON query.statements >= 0 SEVERITY crit;")
           .ok());
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  out = exec.Execute("SHOW HEALTH;").value();
-  EXPECT_NE(out.find("health: critical"), std::string::npos);
-  EXPECT_NE(out.find("queries: critical"), std::string::npos);
-
   std::string json = exec.Execute("SHOW HEALTH JSON;").value();
-  EXPECT_NE(json.find("\"verdict\":\"critical\""), std::string::npos);
-  EXPECT_NE(json.find("\"component\":\"queries\""), std::string::npos);
+  EXPECT_NE(json.find("{\"component\":\"overall\",\"verdict\":\"critical\","
+                      "\"firing\":2,\"worst_alert\":\"crity\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"component\":\"queries\",\"verdict\":\"critical\","),
+            std::string::npos);
+  out = exec.Execute("SHOW HEALTH;").value();
+  EXPECT_NE(out.find("| overall   | critical |"), std::string::npos) << out;
 
   // sys.health mirrors the rendering.
   out = exec.Execute("SELECT * FROM sys.health;").value();
@@ -329,19 +341,20 @@ TEST(AlertStatementTest, ExportDiagnosticsWritesValidBundle) {
   EXPECT_NE(out.find("exported diagnostics"), std::string::npos);
 
   std::string json = ReadFile(path);
-  EXPECT_NE(json.find("\"format\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"engine\":\"hirel\""), std::string::npos);
+  EXPECT_EQ(json.find("{\"format\":2,\"engine\":\"hirel\",\"captured_unix_ms\":"),
+            0u);
   EXPECT_NE(json.find("\"cause\":\"statement\""), std::string::npos);
   EXPECT_NE(json.find("\"config\":{"), std::string::npos);
   EXPECT_NE(json.find("\"threads\""), std::string::npos);
-  EXPECT_NE(json.find("\"alerts\":"), std::string::npos);
-  EXPECT_NE(json.find("\"hot\""), std::string::npos);
-  EXPECT_NE(json.find("\"health\":"), std::string::npos);
-  EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
-  EXPECT_NE(json.find("\"waits\":"), std::string::npos);
-  EXPECT_NE(json.find("\"queries\":"), std::string::npos);
-  EXPECT_NE(json.find("\"telemetry\":"), std::string::npos);
-  EXPECT_NE(json.find("\"log\":"), std::string::npos);
+  EXPECT_NE(json.find("{\"alert\":\"hot\","), std::string::npos);
+  // One array per sys.* relation.
+  for (const char* section :
+       {"sys.alerts", "sys.health", "sys.metrics", "sys.waits", "sys.queries",
+        "sys.telemetry", "sys.metrics_history", "sys.log"}) {
+    EXPECT_NE(json.find(std::string("\"") + section + "\":["),
+              std::string::npos)
+        << section;
+  }
   std::filesystem::remove(path);
 
   // Unwritable path fails the statement, not the process.
@@ -404,14 +417,19 @@ TEST(AlertStatementTest, ShowWaitsRendersSitesWithPercentiles) {
   site.Record(0, 4'000'000);  // 4 ms outlier
 
   std::string out = exec.Execute("SHOW WAITS;").value();
-  EXPECT_NE(out.find("io:"), std::string::npos);
   EXPECT_NE(out.find("alerts_test_wait"), std::string::npos);
-  EXPECT_NE(out.find("p99="), std::string::npos);
+  EXPECT_NE(out.find("| p99_us |"), std::string::npos);
 
+  // 100 waits of 50 us and one of 4 ms: the median sits in the 50 us
+  // bucket, the max is the outlier.
   std::string json = exec.Execute("SHOW WAITS JSON;").value();
-  EXPECT_NE(json.find("\"class\":\"io\""), std::string::npos);
-  EXPECT_NE(json.find("\"site\":\"alerts_test_wait\""), std::string::npos);
-  EXPECT_NE(json.find("\"p50_us\""), std::string::npos);
+  size_t row = json.find("{\"site\":\"alerts_test_wait\",\"wait_class\":\"io\","
+                         "\"waits\":101,");
+  ASSERT_NE(row, std::string::npos) << json;
+  EXPECT_NE(json.find("\"max_us\":4000,\"p50_us\":", row), std::string::npos);
+  size_t p50 = json.find("\"p50_us\":", row) + 9;
+  EXPECT_GE(std::stoul(json.substr(p50)), 32u);
+  EXPECT_LE(std::stoul(json.substr(p50)), 66u);
 
   // The site's histogram also reaches the Prometheus exposition.
   std::string prom = exec.Execute("SHOW METRICS PROMETHEUS;").value();
@@ -441,12 +459,15 @@ TEST(AlertStatementTest, SiteQuantileMatchesDistribution) {
 TEST(AlertStatementTest, TelemetryJsonCarriesEpochMs) {
   Executor exec;
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  std::string json = exec.Execute("SHOW TELEMETRY JSON;").value();
-  // Samples are [seq, ts_ms, epoch_ms, value] quadruples; the first tick
-  // has seq 1 and a 13-digit epoch, so the quadruple has 4 fields.
-  EXPECT_NE(json.find("\"samples\":[[1,"), std::string::npos);
+  // Each sample is a sys.metrics_history row; the first tick has seq 1
+  // and a 13-digit wall-clock epoch_ms.
+  std::string json = RowsJson(
+      *exec.database().FindVirtualRelation("sys.metrics_history"));
+  size_t epoch = json.find("\"seq\":1,\"ts_ms\":");
+  ASSERT_NE(epoch, std::string::npos) << json;
+  epoch = json.find("\"epoch_ms\":", epoch) + 11;
+  EXPECT_EQ(json.find_first_not_of("0123456789", epoch) - epoch, 13u);
 
-  // sys.metrics_history exposes the same epoch_ms as a column.
   std::string out =
       exec.Execute("SELECT * FROM sys.metrics_history;").value();
   EXPECT_NE(out.find("epoch_ms"), std::string::npos);
@@ -463,8 +484,9 @@ TEST(AlertStatementTest, AlertsSurviveLoadSwap) {
   ASSERT_TRUE(exec.Execute("LOAD '" + snap + "';").ok());
   // Rules survive the database swap and evaluate against the new registry.
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  std::string out = exec.Execute("SHOW ALERTS;").value();
-  EXPECT_NE(out.find("hot [warn]"), std::string::npos);
+  std::string out = exec.Execute("SHOW ALERTS JSON;").value();
+  EXPECT_NE(out.find("{\"alert\":\"hot\",\"severity\":\"warn\","),
+            std::string::npos);
   out = exec.Execute("SELECT * FROM sys.alerts;").value();
   EXPECT_NE(out.find("hot"), std::string::npos);
   std::filesystem::remove(snap);

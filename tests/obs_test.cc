@@ -17,12 +17,14 @@
 #include <utility>
 #include <vector>
 
+#include "catalog/database.h"
 #include "hql/executor.h"
 #include "io/wal.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/sys_catalog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/wait.h"
@@ -106,23 +108,33 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsNames) {
 }
 
 TEST(MetricsRegistryTest, RenderAndJsonShapes) {
-  MetricsRegistry reg;
-  EXPECT_NE(reg.Render().find("(none)"), std::string::npos);
-
+  // A registry renders through sys.metrics: one row per counter and
+  // gauge (signed), histograms exploded into one row per figure.
+  Database db;
+  RegisterSystemCatalog(db, {});
+  MetricsRegistry& reg = db.metrics();
   reg.counter("queries").Add(2);
   reg.gauge("depth").Set(-1);
   reg.histogram("lat").Record(3000);
-  std::string text = reg.Render();
-  EXPECT_NE(text.find("queries"), std::string::npos);
-  EXPECT_NE(text.find("depth"), std::string::npos);
+  VirtualRelationProvider& metrics = *db.FindVirtualRelation("sys.metrics");
+  std::string text = RowsText(metrics);
+  EXPECT_EQ(text.find("sys.metrics ("), 0u);
+  EXPECT_NE(text.find("| queries "), std::string::npos);
+  EXPECT_NE(text.find("| depth "), std::string::npos);
+  EXPECT_NE(text.find("| -1 "), std::string::npos);
 
-  std::string json = reg.RenderJson();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"queries\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"depth\":-1"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  std::string json = RowsJson(metrics);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.back(), ']');
+  EXPECT_NE(json.find("{\"name\":\"queries\",\"kind\":\"counter\","
+                      "\"value\":2,\"bucket\":\"-\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"depth\",\"kind\":\"gauge\","
+                      "\"value\":-1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"lat\",\"kind\":\"histogram\","
+                      "\"value\":1,\"bucket\":\"count\"}"),
+            std::string::npos);
 }
 
 TEST(TraceTest, ScopesBuildNestedSpanTree) {
@@ -209,7 +221,9 @@ TEST(MetricsRegistryTest, HistogramEdgeValuesLandInExpectedBuckets) {
 }
 
 TEST(MetricsRegistryTest, HistogramQuantilesFromKnownDistribution) {
-  MetricsRegistry reg;
+  Database db;
+  RegisterSystemCatalog(db, {});
+  MetricsRegistry& reg = db.metrics();
   Histogram& h = reg.histogram("q");
   EXPECT_EQ(h.QuantileNs(0.5), 0u);  // empty histogram
 
@@ -229,10 +243,14 @@ TEST(MetricsRegistryTest, HistogramQuantilesFromKnownDistribution) {
   over.Record(uint64_t{1} << 40);
   EXPECT_EQ(over.QuantileNs(0.99), uint64_t{1} << 40);
 
-  std::string json = reg.RenderJson();
-  EXPECT_NE(json.find("\"p50_ns\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p90_ns\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_ns\":"), std::string::npos);
+  // sys.metrics carries the estimates as rows of the histogram.
+  std::string json = RowsJson(*db.FindVirtualRelation("sys.metrics"));
+  EXPECT_NE(json.find("\"name\":\"q\",\"kind\":\"histogram\",\"value\":" +
+                      std::to_string(h.QuantileNs(0.99)) +
+                      ",\"bucket\":\"p99_ns\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"bucket\":\"p50_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"bucket\":\"p90_ns\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -602,9 +620,9 @@ TEST(ExecutorObsTest, ShowMetricsIsNonzeroAndJsonWellFormed) {
   EXPECT_EQ(text.find("(none)"), std::string::npos);
 
   std::string json = exec.Execute("SHOW METRICS JSON;").value();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"query.statements\""), std::string::npos);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_NE(json.find("{\"name\":\"query.statements\",\"kind\":\"counter\""),
+            std::string::npos);
 }
 
 TEST(ExecutorObsTest, ExplainAnalyzeReportsActuals) {
@@ -719,7 +737,7 @@ TEST(ExecutorObsTest, ShowLogEmptyPrintsHint) {
   ASSERT_TRUE(exec.Execute("SHOW METRICS;").ok());
   Logger::Global().ring().Clear();
   std::string out = exec.Execute("SHOW LOG;").value();
-  EXPECT_NE(out.find("log empty (logging disabled?)"), std::string::npos);
+  EXPECT_EQ(out.find("sys.log (0 rows)"), 0u) << out;
 }
 
 TEST(ExecutorObsTest, DdlEventsReachShowLog) {
@@ -728,9 +746,15 @@ TEST(ExecutorObsTest, DdlEventsReachShowLog) {
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
 
   std::string text = exec.Execute("SHOW LOG;").value();
-  EXPECT_NE(text.find("log ("), std::string::npos);
-  EXPECT_NE(text.find("catalog.create_hierarchy"), std::string::npos);
-  EXPECT_NE(text.find("catalog.create_relation"), std::string::npos);
+  EXPECT_EQ(text.find("sys.log ("), 0u);
+  for (const char* event : {"create_hierarchy", "create_relation"}) {
+    size_t at = text.find(std::string(" ") + event + " ");
+    ASSERT_NE(at, std::string::npos) << text;
+    size_t line = text.rfind('\n', at);
+    EXPECT_NE(text.substr(line, at - line).find("| catalog "),
+              std::string::npos)
+        << text;
+  }
   EXPECT_NE(text.find("name=animal"), std::string::npos);
 
   std::string json = exec.Execute("SHOW LOG JSON;").value();
@@ -766,8 +790,8 @@ TEST(ExecutorObsTest, SlowQueryLogVisibleInShowLogJson) {
   EXPECT_NE(json.find("\"event\":\"slow_query\""), std::string::npos);
   EXPECT_NE(json.find("SELECT * FROM flies WHERE who = penguin"),
             std::string::npos);
-  EXPECT_NE(json.find("\"digest\":"), std::string::npos);
-  EXPECT_NE(json.find("\"nodes_executed\":"), std::string::npos);
+  EXPECT_NE(json.find(" digest="), std::string::npos);
+  EXPECT_NE(json.find(" nodes_executed="), std::string::npos);
   EXPECT_GE(exec.database().metrics().counter("query.slow_queries").value(),
             1u);
 
@@ -840,8 +864,8 @@ TEST(ExecutorObsTest, SlowQueryLogSplitsWaitAndExec) {
 
   std::string json = exec.Execute("SHOW LOG JSON;").value();
   EXPECT_NE(json.find("\"event\":\"slow_query\""), std::string::npos);
-  EXPECT_NE(json.find("\"wait_ms\":"), std::string::npos);
-  EXPECT_NE(json.find("\"exec_ms\":"), std::string::npos);
+  EXPECT_NE(json.find(" wait_ms="), std::string::npos);
+  EXPECT_NE(json.find(" exec_ms="), std::string::npos);
 }
 
 /// The probe count on the first line of `text` that contains `marker`, or
@@ -853,6 +877,17 @@ long ProbesOnLine(const std::string& text, const std::string& marker) {
   size_t probes = line.find("probes=");
   if (probes == std::string::npos) return -1;
   return std::stol(line.substr(probes + 7));
+}
+
+/// The probe count of the newest sys.queries row of `kind`, or -1 when
+/// there is none.
+long NewestProbes(hql::Executor& exec, const std::string& kind) {
+  std::string json = exec.Execute("SHOW QUERIES JSON;").value();
+  size_t at = json.find("\"kind\":\"" + kind + "\"");
+  if (at == std::string::npos) return -1;
+  size_t probes = json.find("\"probes\":", at);
+  if (probes == std::string::npos) return -1;
+  return std::stol(json.substr(probes + 9));
 }
 
 TEST(ExecutorObsTest, GuardedWritesReportIntegritySpanAndProbes) {
@@ -877,8 +912,7 @@ ASSERT respects(ALL obsequious_student, ALL teacher);
   std::string trace = exec.Execute("SHOW TRACE;").value();
   EXPECT_NE(trace.find("deny"), std::string::npos) << trace;
   EXPECT_GT(ProbesOnLine(trace, "integrity"), 0) << trace;
-  std::string queries = exec.Execute("SHOW QUERIES;").value();
-  EXPECT_GT(ProbesOnLine(queries, "[deny]"), 0) << queries;
+  EXPECT_GT(NewestProbes(exec, "deny"), 0);
 
   // COMMIT runs the same check over the batch, under the same span.
   ASSERT_TRUE(exec.Execute(R"(
@@ -898,8 +932,49 @@ COMMIT;
                            "ALL incoherent_teacher);")
                   .status()
                   .IsConflict());
-  queries = exec.Execute("SHOW QUERIES;").value();
-  EXPECT_GT(ProbesOnLine(queries, "[retract]"), 0) << queries;
+  EXPECT_GT(NewestProbes(exec, "retract"), 0);
+}
+
+TEST(ExecutorObsTest, ConsolidateReportsSpanAndProbes) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
+  // ALL afp under ALL bird, both positive, across the penguin exception:
+  // nothing is redundant until a tuple restates its binder.
+  ASSERT_TRUE(exec.Execute("ASSERT flies(peter);").ok());
+  std::string out = exec.Execute("CONSOLIDATE flies;").value();
+  EXPECT_NE(out.find("removed 1 redundant"), std::string::npos) << out;
+  EXPECT_GT(NewestProbes(exec, "consolidate"), 0);
+  std::string trace = exec.Execute("SHOW TRACE;").value();
+  size_t statement = trace.find("consolidate");
+  ASSERT_NE(statement, std::string::npos) << trace;
+  // The statement span holds the nested consolidate span with the probes.
+  EXPECT_GT(ProbesOnLine(trace.substr(statement + 1), "consolidate"), 0)
+      << trace;
+
+  // The delta form (the journal covers the last consolidate) counts too.
+  ASSERT_TRUE(exec.Execute("ASSERT flies(peter);").ok());
+  out = exec.Execute("CONSOLIDATE flies;").value();
+  EXPECT_NE(out.find("removed 1 redundant tuple(s) (delta)"),
+            std::string::npos)
+      << out;
+  EXPECT_GT(NewestProbes(exec, "consolidate"), 0);
+}
+
+TEST(ExecutorObsTest, ResetMetricsRecordsNoPhantomWait) {
+  // RESET METRICS zeroes the wait registry while it runs; the statement's
+  // wait share must not underflow into a huge wait_us.
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
+  std::string path = ::testing::TempDir() + "obs_reset_wait.hirel";
+  ASSERT_TRUE(exec.Execute("SAVE '" + path + "';").ok());  // an io wait
+  std::remove(path.c_str());
+  ASSERT_GT(WaitEventRegistry::Global().attributed_wait_ns(), 0u);
+  ASSERT_TRUE(exec.Execute("RESET METRICS;").ok());
+  std::string json = exec.Execute("SHOW QUERIES JSON;").value();
+  EXPECT_EQ(json.find("[{\"id\":11,\"kind\":\"reset metrics\","), 0u)
+      << json;
+  size_t wait = json.find("\"wait_us\":") + 10;
+  EXPECT_LT(std::stoull(json.substr(wait)), 1'000'000u) << json;
 }
 
 TEST(ExecutorObsTest, ShowQueriesReportsWaitShare) {
@@ -908,7 +983,7 @@ TEST(ExecutorObsTest, ShowQueriesReportsWaitShare) {
   ASSERT_TRUE(exec.Execute("SELECT * FROM flies;").ok());
 
   std::string text = exec.Execute("SHOW QUERIES;").value();
-  EXPECT_NE(text.find("ms wait="), std::string::npos);
+  EXPECT_NE(text.find("| wait_us |"), std::string::npos);
   std::string json = exec.Execute("SHOW QUERIES JSON;").value();
   EXPECT_NE(json.find("\"wait_us\":"), std::string::npos);
 }
@@ -939,19 +1014,28 @@ TEST(ExecutorObsTest, ShowTelemetryRendersHistoryAfterManualTicks) {
   exec.telemetry().Tick();
 
   std::string text = exec.Execute("SHOW TELEMETRY;").value();
-  EXPECT_NE(text.find("telemetry: off (interval 50 ms, ticks 2"),
-            std::string::npos);
   EXPECT_NE(text.find("query.statements"), std::string::npos);
-  EXPECT_NE(text.find("rate="), std::string::npos);
+  EXPECT_NE(text.find("| rate_per_s |"), std::string::npos);
+
+  // The sampler's own state is a set of telemetry.* gauges.
+  std::string metrics = exec.Execute("SHOW METRICS JSON;").value();
+  for (const char* gauge :
+       {"\"telemetry.on\",\"kind\":\"gauge\",\"value\":0,",
+        "\"telemetry.interval_ms\",\"kind\":\"gauge\",\"value\":50,",
+        "\"telemetry.ticks\",\"kind\":\"gauge\",\"value\":2,"}) {
+    EXPECT_NE(metrics.find(gauge), std::string::npos) << gauge;
+  }
 
   std::string json = exec.Execute("SHOW TELEMETRY JSON;").value();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"on\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"interval_ms\":50"), std::string::npos);
-  EXPECT_NE(json.find("\"ticks\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"query.statements\""), std::string::npos);
-  EXPECT_NE(json.find("\"samples\":[["), std::string::npos);
-  EXPECT_NE(json.find("\"rate_per_s\":"), std::string::npos);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_NE(json.find("{\"name\":\"query.statements\",\"kind\":\"counter\","),
+            std::string::npos);
+  EXPECT_NE(json.find("\"samples\":2,\"rate_per_s\":"), std::string::npos);
+  // The samples themselves are rows of sys.metrics_history.
+  EXPECT_NE(RowsJson(*exec.database().FindVirtualRelation(
+                         "sys.metrics_history"))
+                .find("{\"name\":\"query.statements\",\"seq\":2,"),
+            std::string::npos);
 }
 
 TEST(ExecutorObsTest, ExportTraceIncludesWaitSpans) {

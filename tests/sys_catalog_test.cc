@@ -1,12 +1,14 @@
 // System catalog: the sys.* virtual relations (metrics, log, relations,
-// columns, cache, pool, queries), subsumption-aware selection over the
-// telemetry hierarchies, per-query resource accounting in the history
-// ring, and the read-only guards on the sys. namespace.
+// columns, cache, pool, queries, waits, telemetry, alerts, health),
+// subsumption-aware selection over the telemetry hierarchies, per-query
+// resource accounting in the history ring, and the read-only guards on
+// the sys. namespace.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -46,8 +48,10 @@ TEST(SysCatalogTest, SelectOverSysRelationsSeesStoredAndVirtual) {
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
   std::string out = exec.Execute("SELECT * FROM sys.relations;").value();
   EXPECT_NE(out.find("flies"), std::string::npos);
-  EXPECT_NE(out.find("sys.metrics"), std::string::npos);
-  EXPECT_NE(out.find("virtual"), std::string::npos);
+  // Virtual relations report their row count and no chunks or bytes.
+  EXPECT_TRUE(std::regex_search(
+      out, std::regex(R"(\| sys\.metrics +\| [1-9][0-9]* +\| 0 +\| 0 +\|)")))
+      << out;
 }
 
 TEST(SysCatalogTest, MetricNameSubtreeSelection) {
@@ -119,7 +123,7 @@ TEST(SysCatalogTest, JoinRelationsWithColumns) {
       exec.Execute("SELECT * FROM sys.columns JOIN sys.relations;").value();
   EXPECT_NE(out.find("flies"), std::string::npos);
   EXPECT_NE(out.find("col_bytes"), std::string::npos);
-  EXPECT_NE(out.find("storage"), std::string::npos);
+  EXPECT_NE(out.find("chunks"), std::string::npos);
   EXPECT_EQ(out.find("sys.metrics"), std::string::npos);
 }
 
@@ -191,10 +195,12 @@ TEST(SysCatalogTest, ShowQueriesRendersTextAndJson) {
   hql::Executor exec;
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
   std::string text = exec.Execute("SHOW QUERIES;").value();
-  EXPECT_NE(text.find("newest first"), std::string::npos);
-  EXPECT_NE(text.find("[create hierarchy]"), std::string::npos);
+  EXPECT_NE(text.find("| create hierarchy |"), std::string::npos);
+  // Newest first: the SHOW QUERIES above (id 9), then the script's last
+  // statement (DENY, id 8).
   std::string json = exec.Execute("SHOW QUERIES JSON;").value();
-  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.find("[{\"id\":9,\"kind\":\"show\","), 0u) << json;
+  EXPECT_NE(json.find("},{\"id\":8,\"kind\":\"deny\","), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"assert\""), std::string::npos);
   EXPECT_NE(json.find("\"wall_us\":"), std::string::npos);
   EXPECT_NE(json.find("\"probes\":"), std::string::npos);

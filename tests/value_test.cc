@@ -26,6 +26,8 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Bool(false).ToString(), "false");
   EXPECT_EQ(Value::Int(42).ToString(), "42");
   EXPECT_EQ(Value::Double(2.0).ToString(), "2.0");
+  EXPECT_EQ(Value::Double(-2.5e9).ToString(), "-2.5e+09");
+  EXPECT_EQ(Value::Double(0.125).ToString(), "0.125");
   EXPECT_EQ(Value::String("tweety").ToString(), "tweety");
 }
 

@@ -141,8 +141,11 @@ PYEOF
 # loop at the largest size both were measured at; (c) delta-checked
 # guarded writes (BM_GuardedMutate/N/1) must be at least 20x faster than
 # the full-check arm (/0) at 10^4 tuples, and (d) cost at most 3x as much
-# at 10^4 tuples as at 10^3. Each gate applies when its rows are present
-# (a --benchmark_filter may select a subset).
+# at 10^4 tuples as at 10^3; (e) end to end through HQL, the incremental
+# RETRACT + ASSERT + COUNT loop (BM_HqlMutateCountLoop/N/1) must be at
+# least 10x faster than the non-incremental arm (/0) at 10^4 tuples. Each
+# gate applies when its rows are present (a --benchmark_filter may select
+# a subset).
 if [ -e BENCH_incremental.json ]; then
   inc_cores=$(sed -n 's/^[[:space:]]*"num_cpus":[[:space:]]*\([0-9]*\).*/\1/p' \
       BENCH_incremental.json | head -n 1)
@@ -237,6 +240,22 @@ if "1" in guarded.get(1000, {}) and "1" in arms:
     if growth > 3.0:
         failed = True
         print("  FAIL: delta-checked writes grow more than 3x with 10x tuples")
+
+# The same speedup end to end, through the executor: incremental arm
+# against SET INCREMENTAL OFF at 10^4 (at 10^3 the gap is only ~7x).
+hql = {}
+for name, ns in current.items():
+    parts = name.split("/")
+    if parts[0] == "BM_HqlMutateCountLoop" and len(parts) == 3 and ns:
+        hql.setdefault(int(parts[1]), {})[parts[2]] = ns
+arms = hql.get(10000, {})
+if "0" in arms and "1" in arms:
+    speedup = arms["0"] / arms["1"]
+    print(f"==== HQL mutate+count gate: {speedup:.1f}x faster than "
+          f"non-incremental at 10000 tuples (minimum 10x) ====")
+    if speedup < 10.0:
+        failed = True
+        print("  FAIL: the incremental HQL loop is less than 10x faster")
 
 if failed:
     sys.exit(1)

@@ -70,26 +70,32 @@ for preset in "${presets[@]}"; do
     echo "FAIL: no '# HELP' lines in SHOW METRICS PROMETHEUS" >&2
     exit 1
   }
-  echo "${obs_out}" | grep -q '"interval_ms"' || {
-    echo "FAIL: no telemetry state in SHOW TELEMETRY JSON" >&2
+  # The sampler's state is a set of telemetry.* rows of sys.metrics; its
+  # series are rows of sys.telemetry.
+  echo "${obs_out}" | grep -q '"name":"telemetry.interval_ms","kind":"gauge","value":5,' || {
+    echo "FAIL: no telemetry state in SHOW METRICS JSON" >&2
     exit 1
   }
-  echo "${obs_out}" | grep -q 'snapshot.save' || {
-    echo "FAIL: no snapshot.save wait site in sys.waits" >&2
+  echo "${obs_out}" | grep -q '"name":"query.statements","kind":"counter","last":[0-9]*,"min":' || {
+    echo "FAIL: no sampled series in SHOW TELEMETRY JSON" >&2
+    exit 1
+  }
+  echo "${obs_out}" | grep -q '{"site":"snapshot.save","wait_class":"io",' || {
+    echo "FAIL: no snapshot.save wait site in SHOW WAITS JSON" >&2
     exit 1
   }
   # Alert lifecycle: hot_statements trips on the first manual tick, shows
   # up under `severity = ALL warn` (subsumption), degrades the health
   # verdict, and resolves after RESET METRICS + one more tick.
-  echo "${obs_out}" | grep -q 'hot_statements.*firing' || {
-    echo "FAIL: hot_statements alert did not fire in SHOW ALERTS" >&2
+  echo "${obs_out}" | grep -q '{"alert":"hot_statements","severity":"warn","state":"firing",' || {
+    echo "FAIL: hot_statements alert did not fire in SHOW ALERTS JSON" >&2
     exit 1
   }
-  echo "${obs_out}" | grep -q 'health: degraded' || {
-    echo "FAIL: SHOW HEALTH did not report degraded while firing" >&2
+  echo "${obs_out}" | grep -q '{"component":"overall","verdict":"degraded",' || {
+    echo "FAIL: SHOW HEALTH JSON did not report degraded while firing" >&2
     exit 1
   }
-  echo "${obs_out}" | grep -q '"alert":"hot_statements","metric":"query.statements","op":">","threshold":3,"for_samples":1,"severity":"warn","builtin":false,"state":"resolved"' || {
+  echo "${obs_out}" | grep -q '{"alert":"hot_statements","severity":"warn","state":"resolved","metric":"query.statements","op":">","threshold":3,"for_samples":1,"builtin":false,' || {
     echo "FAIL: hot_statements did not resolve after RESET METRICS" >&2
     exit 1
   }
@@ -172,11 +178,12 @@ for preset in "${presets[@]}"; do
     python3 bench_e2e/smoke.py
 
     # The guarded-write gates of tools/bench.sh (delta check against the
-    # full check, and its growth from 10^3 to 10^4 tuples).
-    echo "==== ${preset}: guarded-write bench gates ===="
+    # full check, and its growth from 10^3 to 10^4 tuples) and the
+    # end-to-end HQL mutate+count speedup gate at 10^4 tuples.
+    echo "==== ${preset}: guarded-write and HQL mutate bench gates ===="
     gate_summary="$(mktemp)"
     tools/bench.sh "build/${preset}" "${gate_summary}" \
-        --benchmark_filter=BM_GuardedMutate
+        '--benchmark_filter=BM_GuardedMutate|BM_HqlMutateCountLoop/10000/'
     rm -f "${gate_summary}"
   fi
 done

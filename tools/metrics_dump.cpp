@@ -3,9 +3,10 @@
 //   build/tools/metrics_dump [--prometheus | --json | --text] [script.hql ...]
 //
 // Executes the given HQL scripts against a fresh database (script output is
-// discarded), then writes the engine's metrics registry to stdout — by
-// default in the Prometheus text exposition format, so the binary can sit
-// behind a textfile collector or a cron job without an HTTP endpoint.
+// discarded), then writes the engine's metrics to stdout: the output of
+// SHOW METRICS PROMETHEUS (the default, so the binary can sit behind a
+// textfile collector or a cron job without an HTTP endpoint), SHOW METRICS
+// JSON (--json) or SHOW METRICS (--text).
 
 #include <cstring>
 #include <fstream>
@@ -14,7 +15,6 @@
 #include <string>
 
 #include "hql/executor.h"
-#include "obs/export.h"
 
 using namespace hirel;
 
@@ -62,26 +62,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // SHOW METRICS syncs the subsumption-cache and thread-pool gauges into
-  // the registry; its rendering is discarded in favour of the exporter's.
-  Result<std::string> synced = exec.Execute("SHOW METRICS;");
-  if (!synced.ok()) {
-    std::cerr << "metrics sync failed: " << synced.status() << "\n";
+  // Every format is the matching SHOW METRICS statement's output, so the
+  // dump and the REPL always agree.
+  const char* statement = "SHOW METRICS PROMETHEUS;";
+  if (format == Format::kJson) statement = "SHOW METRICS JSON;";
+  if (format == Format::kText) statement = "SHOW METRICS;";
+  Result<std::string> out = exec.Execute(statement);
+  if (!out.ok()) {
+    std::cerr << "metrics dump failed: " << out.status() << "\n";
     return 1;
   }
-
-  const obs::MetricsRegistry& metrics = exec.database().metrics();
-  switch (format) {
-    case Format::kPrometheus:
-      std::cout << obs::PrometheusText(metrics,
-                                       &obs::WaitEventRegistry::Global());
-      break;
-    case Format::kJson:
-      std::cout << metrics.RenderJson() << "\n";
-      break;
-    case Format::kText:
-      std::cout << metrics.Render();
-      break;
-  }
+  std::cout << *out;
   return 0;
 }
