@@ -158,10 +158,9 @@ Result<HierarchicalRelation*> Database::AdoptRelation(
     }
   }
   std::string name = relation.name();
-  // Evict on every path, including replacement: the incoming relation's
-  // journal starts with floor 0 and would claim to cover the cached
-  // entry's stamp, so a later Get could patch the old graph with the new
-  // relation's records instead of rebuilding.
+  // Evict on every path, including replacement: the incoming relation has
+  // its own tuple-id space, and the old relation's graph must not outlive
+  // it under the same name.
   subsumption_cache_.Invalidate(name);
   HIREL_LOG(obs::LogLevel::kInfo, "catalog", "adopt_relation",
             {{"name", name}, {"tuples", StrCat(relation.size())},

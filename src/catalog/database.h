@@ -72,11 +72,8 @@ class Database {
   Result<HierarchicalRelation*> AdoptRelation(HierarchicalRelation relation);
 
   /// Same, but with `replace_existing` an existing relation of that name
-  /// is swapped out. The replaced relation's cache entry MUST be (and is)
-  /// evicted here: the incoming relation carries its own tuple-id space
-  /// and mutation journal, and a fresh journal's floor claims coverage of
-  /// any older stamp — a journal patch against the old graph would pass
-  /// the coverage test and quietly produce the wrong graph.
+  /// is swapped out. The replaced relation's cache entry is evicted here,
+  /// so no graph cached for the old relation outlives it.
   Result<HierarchicalRelation*> AdoptRelation(HierarchicalRelation relation,
                                               bool replace_existing);
 

@@ -63,8 +63,8 @@ class HierarchicalRelation {
   /// Copies keep the store's ids and the version stamp verbatim: a copy of
   /// a base relation shares its tuple ids and version, so caches keyed on
   /// (relation version, hierarchy versions) stay valid across the copy.
-  /// The mutation journal is copied too, so a graph cached against the
-  /// original can still be patched up to the copy's subsequent mutations.
+  /// The mutation journal is copied too, so the delta paths can follow
+  /// the copy's subsequent mutations from the original's stamps.
   HierarchicalRelation(const HierarchicalRelation&) = default;
   HierarchicalRelation& operator=(const HierarchicalRelation&) = default;
   HierarchicalRelation(HierarchicalRelation&&) = default;
@@ -181,9 +181,8 @@ class HierarchicalRelation {
 
   /// Recent-mutation journal, one record per version bump. Consumers pair a
   /// remembered version() with journal().Since(version) to learn exactly
-  /// which tuples changed since, enabling in-place patches of derived
-  /// structures (subsumption graphs, consolidation marks, DERIVE
-  /// extensions) instead of full rebuilds.
+  /// which tuples changed since: delta CONSOLIDATE and semi-naive DERIVE
+  /// work from that delta instead of from scratch.
   const MutationJournal& journal() const { return journal_; }
 
   // ----- Ambiguity-verified stamp (see integrity.h) -------------------------

@@ -1,13 +1,14 @@
 // MutationJournal: a bounded ring of recent tuple mutations, kept by every
 // HierarchicalRelation alongside its version stamp.
 //
-// The subsumption-graph cache keys entries on version stamps, which tell it
-// *that* a relation changed but not *how*. The journal closes that gap: a
-// consumer holding a graph built at stamp V asks Since(V) for the exact
-// mutations separating V from the present and patches instead of
-// rebuilding. The ring is deliberately small (kCapacity records) — a
-// relation that mutated hundreds of times since the last graph build has
-// outgrown patching anyway, and the cost heuristic would reject the delta.
+// Version stamps tell a consumer *that* a relation changed but not *how*.
+// The journal closes that gap for the two delta paths: delta CONSOLIDATE
+// seeds its sweep from the mutations since the last consolidate, and
+// semi-naive DERIVE appends journal-new atomic facts instead of
+// re-explicating. A consumer holding state derived at stamp V asks
+// Since(V) for the exact mutations separating V from the present. The ring
+// is deliberately small (kCapacity records): a relation that mutated
+// hundreds of times since is simply reprocessed from scratch.
 //
 // Coverage contract: Since(V) returns the mutations with stamp > V, oldest
 // first, or nullopt when any such record has been dropped (ring overflow)
@@ -30,9 +31,9 @@ namespace hirel {
 
 class MutationJournal {
  public:
-  /// Ring capacity. Past this many un-consumed mutations a cached graph is
-  /// rebuilt rather than patched, so the bound trades a little patch reach
-  /// for a hard memory cap per relation.
+  /// Ring capacity. Past this many un-consumed mutations the delta paths
+  /// fall back to their full forms, so the bound trades a little delta
+  /// reach for a hard memory cap per relation.
   static constexpr size_t kCapacity = 256;
 
   struct Record {

@@ -1,44 +1,104 @@
 #include "core/subsumption.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 
-#include "common/bitset.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
+#include "obs/query_stats.h"
 
 namespace hirel {
 
 namespace {
 
-/// Final assembly shared by full builds and patches: given the live tuple
-/// ids in ascending order and their Hasse adjacency (indices into `ids`),
-/// produces the canonical SubsumptionGraph. Adjacency lists are sorted
-/// ascending and Kahn's sort runs FIFO with ready nodes seeded in index
-/// order, so the output is a pure function of (ids, edge set) — a patched
-/// graph and a from-scratch rebuild over the same edge set are
-/// byte-identical.
-SubsumptionGraph EmitGraph(const std::vector<TupleId>& ids,
-                           std::vector<std::vector<size_t>> succ,
-                           std::vector<std::vector<size_t>> pred) {
-  size_t n = ids.size();
-  for (auto& list : succ) std::sort(list.begin(), list.end());
-  for (auto& list : pred) std::sort(list.begin(), list.end());
+/// One list of tuple indexes per tuple, in compressed-row form: list i is
+/// items[begin[i], begin[i + 1]).
+struct Lists {
+  std::vector<size_t> begin;
+  std::vector<uint32_t> items;
 
-  // Kahn topological sort (general first).
-  std::vector<size_t> indegree(n);
-  std::vector<size_t> ready;
-  for (size_t i = 0; i < n; ++i) {
-    indegree[i] = pred[i].size();
-    if (indegree[i] == 0) ready.push_back(i);
+  std::span<const uint32_t> operator[](size_t i) const {
+    return {items.data() + begin[i], begin[i + 1] - begin[i]};
   }
+  uint64_t bytes() const {
+    return begin.size() * sizeof(size_t) + items.size() * sizeof(uint32_t);
+  }
+};
+
+/// Runs `fill(i, out)`, which appends list i to `out`, for every i in
+/// [0, n) across the pool, and returns the lists in index order. The range
+/// splits into contiguous parts, each with its own output buffer; every
+/// pool chunk gets its own `fill` from `make_fill()`, so scratch state is
+/// never shared. The buffers concatenate in part order, so the result does
+/// not depend on the thread count.
+template <typename MakeFill>
+Lists ParallelLists(size_t n, size_t threads, const MakeFill& make_fill) {
+  const size_t parts = std::min(n, 4 * ThreadPool::EffectiveThreads(threads));
+  std::vector<std::vector<uint32_t>> part_items(parts);
+  Lists lists;
+  lists.begin.assign(n + 1, 0);
+  ParallelOptions par;
+  par.threads = threads;
+  ParallelFor(parts, par,
+              [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
+                auto fill = make_fill();
+                for (size_t k = lo; k < hi; ++k) {
+                  std::vector<uint32_t>& out = part_items[k];
+                  for (size_t i = k * n / parts; i < (k + 1) * n / parts;
+                       ++i) {
+                    const size_t before = out.size();
+                    fill(i, out);
+                    lists.begin[i + 1] = out.size() - before;
+                  }
+                }
+                return Status::OK();
+              });
+  for (size_t i = 0; i < n; ++i) lists.begin[i + 1] += lists.begin[i];
+  lists.items.reserve(lists.begin[n]);
+  for (std::vector<uint32_t>& part : part_items) {
+    lists.items.insert(lists.items.end(), part.begin(), part.end());
+    std::vector<uint32_t>().swap(part);
+  }
+  return lists;
+}
+
+/// Final assembly: given the live tuple ids in ascending order and each
+/// one's Hasse predecessors (indexes into `ids`), produces the canonical
+/// SubsumptionGraph. Adjacency lists are sorted ascending and Kahn's sort
+/// runs FIFO with ready nodes seeded in index order, so the output is a
+/// pure function of (ids, edge set) — the same at any thread count and in
+/// whatever order the covers were found.
+SubsumptionGraph EmitGraph(const std::vector<TupleId>& ids, Lists pred) {
+  const size_t n = ids.size();
+  for (size_t i = 0; i < n; ++i) {
+    std::sort(pred.items.begin() + pred.begin[i],
+              pred.items.begin() + pred.begin[i + 1]);
+  }
+  // Successor lists, filled in ascending successor order.
+  Lists succ;
+  succ.begin.assign(n + 1, 0);
+  for (uint32_t p : pred.items) ++succ.begin[p + 1];
+  for (size_t i = 0; i < n; ++i) succ.begin[i + 1] += succ.begin[i];
+  succ.items.resize(pred.items.size());
+  std::vector<size_t> cursor(succ.begin.begin(), succ.begin.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    for (uint32_t p : pred[i]) {
+      succ.items[cursor[p]++] = static_cast<uint32_t>(i);
+    }
+  }
+
+  // Kahn topological sort (general first); `order` doubles as the queue.
+  std::vector<size_t> indegree(n);
   std::vector<size_t> order;  // positions in `ids`
   order.reserve(n);
-  for (size_t head = 0; head < ready.size(); ++head) {
-    size_t u = ready[head];
-    order.push_back(u);
-    for (size_t v : succ[u]) {
-      if (--indegree[v] == 0) ready.push_back(v);
+  for (size_t i = 0; i < n; ++i) {
+    indegree[i] = pred[i].size();
+    if (indegree[i] == 0) order.push_back(i);
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (uint32_t v : succ[order[head]]) {
+      if (--indegree[v] == 0) order.push_back(v);
     }
   }
 
@@ -53,8 +113,8 @@ SubsumptionGraph EmitGraph(const std::vector<TupleId>& ids,
   for (size_t i = 0; i < n; ++i) {
     size_t old = order[i];
     graph.nodes[i] = ids[old];
-    for (size_t s : succ[old]) graph.successors[i].push_back(position[s]);
-    for (size_t p : pred[old]) graph.predecessors[i].push_back(position[p]);
+    for (uint32_t s : succ[old]) graph.successors[i].push_back(position[s]);
+    for (uint32_t p : pred[old]) graph.predecessors[i].push_back(position[p]);
     std::sort(graph.successors[i].begin(), graph.successors[i].end());
     std::sort(graph.predecessors[i].begin(), graph.predecessors[i].end());
     if (graph.predecessors[i].empty()) {
@@ -70,227 +130,96 @@ SubsumptionGraph EmitGraph(const std::vector<TupleId>& ids,
 SubsumptionGraph BuildSubsumptionGraph(const HierarchicalRelation& relation,
                                        size_t threads) {
   const Schema& schema = relation.schema();
-  SubsumptionGraph graph;
-
-  std::vector<TupleId> ids = relation.TupleIds();
-  size_t n = ids.size();
-
-  // Phase A: the full strict binds-below relation as bitset rows. Exactly
-  // n^2 pairwise item tests, partitioned across the pool by row — each
-  // chunk writes only its own rows, and the tests read nothing mutable
-  // (hierarchy snapshots are immutable), so the phase races with nothing.
-  std::vector<Item> items;
-  items.reserve(n);
-  for (TupleId id : ids) items.push_back(relation.ItemAt(id));
-  std::vector<DynamicBitset> below(n, DynamicBitset(n));
-  ParallelOptions par;
-  par.threads = threads;
-  ParallelFor(n, par, [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
-    for (size_t a = lo; a < hi; ++a) {
-      for (size_t b = 0; b < n; ++b) {
-        if (a != b && ItemBindsBelow(schema, items[a], items[b])) {
-          below[a].Set(b);
-        }
-      }
-    }
-    return Status::OK();
-  });
-  std::vector<DynamicBitset> above(n, DynamicBitset(n));
-  for (size_t a = 0; a < n; ++a) {
-    for (uint32_t b : below[a].ToVector()) above[b].Set(a);
+  const std::vector<TupleId> ids = relation.TupleIds();
+  const size_t n = ids.size();
+  if (schema.size() == 0) {
+    // Every tuple has the empty item: at most one tuple, no edges.
+    return EmitGraph(ids, Lists{std::vector<size_t>(n + 1, 0), {}});
   }
+  obs::ScopedAllocTracking tracked(n * sizeof(const Item*));
+  std::vector<const Item*> items(n);
+  for (size_t i = 0; i < n; ++i) items[i] = &relation.ItemAt(ids[i]);
 
-  // Phase B: Hasse edge a -> b iff a is strictly below-closed above b with
-  // nothing strictly between, i.e. no c with a < c < b — exactly when
-  // below[a] and above[b] are disjoint (c = a and c = b are excluded by
-  // strictness already).
-  std::vector<std::vector<size_t>> succ(n), pred(n);
-  for (size_t a = 0; a < n; ++a) {
-    for (uint32_t b : below[a].ToVector()) {
-      if (!below[a].Intersects(above[b])) {
-        succ[a].push_back(b);
-        pred[b].push_back(a);
-      }
-    }
+  // Tuples bucketed by first component.
+  const Hierarchy& first = *schema.hierarchy(0);
+  const size_t num_nodes = first.dag().capacity();
+  Lists by_first;
+  by_first.begin.assign(num_nodes + 1, 0);
+  for (const Item* item : items) ++by_first.begin[(*item)[0] + 1];
+  for (size_t v = 0; v < num_nodes; ++v) {
+    by_first.begin[v + 1] += by_first.begin[v];
   }
-
-  graph = EmitGraph(ids, std::move(succ), std::move(pred));
-  return graph;
-}
-
-void PatchSubsumptionGraph(const HierarchicalRelation& relation,
-                           const SubsumptionDelta& delta, size_t threads,
-                           SubsumptionGraph* graph) {
-  const Schema& schema = relation.schema();
-
-  // Working copy in slot space: slot i starts as graph position i; added
-  // tuples take fresh slots at the end. The virtual universal predecessor
-  // is stripped here and re-added by EmitGraph.
-  std::vector<TupleId> slot_id(graph->nodes);
-  std::vector<char> dead(slot_id.size(), 0);
-  std::vector<std::vector<size_t>> succ(graph->successors);
-  std::vector<std::vector<size_t>> pred(graph->predecessors);
-  for (auto& list : pred) {
-    list.erase(std::remove(list.begin(), list.end(),
-                           SubsumptionGraph::kUniversalNode),
-               list.end());
+  by_first.items.resize(n);
+  std::vector<size_t> cursor(by_first.begin.begin(),
+                             by_first.begin.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    by_first.items[cursor[(*items[i])[0]]++] = static_cast<uint32_t>(i);
   }
-  std::unordered_map<TupleId, size_t> slot_of;
-  slot_of.reserve(slot_id.size() + delta.add.size());
-  for (size_t i = 0; i < slot_id.size(); ++i) slot_of.emplace(slot_id[i], i);
+  tracked.Grow(by_first.bytes() + num_nodes * sizeof(size_t));
+  std::vector<size_t>().swap(cursor);
 
-  auto erase_from = [](std::vector<size_t>& list, size_t v) {
-    list.erase(std::remove(list.begin(), list.end(), v), list.end());
-  };
+  // Per-chunk scratch of the two phases below, at most one per thread.
+  const size_t workers = ThreadPool::EffectiveThreads(threads);
+  tracked.Grow(workers * (num_nodes + n) * sizeof(uint32_t));
 
-  // Phase 1: cover-deletions. Removing x from a Hasse diagram creates a
-  // direct edge a -> b exactly for those former predecessors a and
-  // successors b of x left with no other path a => b; the DFS test is
-  // exact because the surgical graph is the true Hasse diagram of the
-  // remaining order before every removal (sequential induction).
-  std::vector<char> reach;
-  std::vector<size_t> stack;
-  for (TupleId id : delta.remove) {
-    auto it = slot_of.find(id);
-    if (it == slot_of.end()) continue;
-    size_t x = it->second;
-    std::vector<size_t> xpreds = std::move(pred[x]);
-    std::vector<size_t> xsuccs = std::move(succ[x]);
-    pred[x].clear();
-    succ[x].clear();
-    for (size_t a : xpreds) erase_from(succ[a], x);
-    for (size_t b : xsuccs) erase_from(pred[b], x);
-    dead[x] = 1;
-    slot_of.erase(it);
-    for (size_t a : xpreds) {
-      reach.assign(slot_id.size(), 0);
-      stack.clear();
-      stack.push_back(a);
-      reach[a] = 1;
+  // Above-sets: for each tuple, the tuples binding strictly above it. The
+  // candidates sit on binding ancestors of its first component, found by
+  // walking parents and preference predecessors upward (ItemBindsBelow
+  // honours preference edges); each is verified on every component.
+  Lists above = ParallelLists(n, threads, [&] {
+    return [&, mark = std::vector<uint32_t>(num_nodes, 0), epoch = uint32_t{0},
+            stack = std::vector<NodeId>()](
+               size_t t, std::vector<uint32_t>& out) mutable {
+      ++epoch;
+      const NodeId start = (*items[t])[0];
+      mark[start] = epoch;
+      stack.assign(1, start);
       while (!stack.empty()) {
-        size_t u = stack.back();
+        const NodeId u = stack.back();
         stack.pop_back();
-        for (size_t v : succ[u]) {
-          if (!reach[v]) {
-            reach[v] = 1;
-            stack.push_back(v);
+        for (uint32_t c : by_first[u]) {
+          if (c != t && ItemBindsBelow(schema, *items[c], *items[t])) {
+            out.push_back(c);
+          }
+        }
+        for (const auto* up : {&first.Parents(u),
+                               &first.PreferencePredecessors(u)}) {
+          for (NodeId v : *up) {
+            if (mark[v] != epoch) {
+              mark[v] = epoch;
+              stack.push_back(v);
+            }
           }
         }
       }
-      for (size_t b : xsuccs) {
-        if (!reach[b]) {
-          succ[a].push_back(b);
-          pred[b].push_back(a);
-        }
-      }
-    }
-  }
+    };
+  });
+  tracked.Grow(above.bytes());
 
-  // Phase 2: cover-insertions. Each needs ≤ 2n item tests (the two
-  // directions are mutually exclusive for distinct items, hence the
-  // else-if) instead of the full build's n^2.
-  std::vector<Item> slot_item(slot_id.size());
-  for (size_t i = 0; i < slot_id.size(); ++i) {
-    if (!dead[i]) slot_item[i] = relation.ItemAt(slot_id[i]);
-  }
-  ParallelOptions par;
-  par.threads = threads;
-  for (TupleId id : delta.add) {
-    if (slot_of.contains(id)) continue;
-    const Item& item = relation.ItemAt(id);
-    size_t nslots = slot_id.size();
-    std::vector<char> above(nslots, 0);   // slot's item strictly above x's
-    std::vector<char> below_x(nslots, 0);  // slot's item strictly below x's
-    ParallelFor(nslots, par,
-                [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
-                  for (size_t j = lo; j < hi; ++j) {
-                    if (dead[j]) continue;
-                    if (ItemBindsBelow(schema, slot_item[j], item)) {
-                      above[j] = 1;
-                    } else if (ItemBindsBelow(schema, item, slot_item[j])) {
-                      below_x[j] = 1;
-                    }
-                  }
-                  return Status::OK();
-                });
-    // x's covers: a is a direct predecessor iff a is above x with no
-    // direct successor of a also above x (transitivity makes the
-    // first-step test exact); successors dually.
-    std::vector<size_t> xpreds, xsuccs;
-    for (size_t a = 0; a < nslots; ++a) {
-      if (dead[a] || !above[a]) continue;
-      bool blocked = false;
-      for (size_t s : succ[a]) {
-        if (above[s]) {
-          blocked = true;
-          break;
-        }
+  // Covers: the members of a tuple's above-set with nothing strictly
+  // between. If c lies below a, above(c) contains above(a) and a itself,
+  // so visiting members by descending above-set size meets every cover
+  // before the members above it: a member not yet marked is a cover, and
+  // marking its own above-set rules out everything above it.
+  Lists covers = ParallelLists(n, threads, [&] {
+    return [&, mark = std::vector<uint32_t>(n, 0), epoch = uint32_t{0},
+            members = std::vector<uint32_t>()](
+               size_t t, std::vector<uint32_t>& out) mutable {
+      ++epoch;
+      members.assign(above[t].begin(), above[t].end());
+      std::sort(members.begin(), members.end(), [&](uint32_t a, uint32_t b) {
+        return above[a].size() > above[b].size();
+      });
+      for (uint32_t c : members) {
+        if (mark[c] == epoch) continue;
+        out.push_back(c);
+        for (uint32_t a : above[c]) mark[a] = epoch;
       }
-      if (!blocked) xpreds.push_back(a);
-    }
-    for (size_t b = 0; b < nslots; ++b) {
-      if (dead[b] || !below_x[b]) continue;
-      bool blocked = false;
-      for (size_t p : pred[b]) {
-        if (below_x[p]) {
-          blocked = true;
-          break;
-        }
-      }
-      if (!blocked) xsuccs.push_back(b);
-    }
-    // Existing edges u -> v now spanning x (u above, v below) stop being
-    // covers.
-    for (size_t u = 0; u < nslots; ++u) {
-      if (dead[u] || !above[u]) continue;
-      auto& out = succ[u];
-      for (size_t k = 0; k < out.size();) {
-        if (below_x[out[k]]) {
-          erase_from(pred[out[k]], u);
-          out[k] = out.back();
-          out.pop_back();
-        } else {
-          ++k;
-        }
-      }
-    }
-    // Attach x.
-    size_t m = slot_id.size();
-    for (size_t a : xpreds) succ[a].push_back(m);
-    for (size_t b : xsuccs) pred[b].push_back(m);
-    slot_id.push_back(id);
-    slot_item.push_back(std::move(item));
-    dead.push_back(0);
-    succ.push_back(std::move(xsuccs));
-    pred.push_back(std::move(xpreds));
-    slot_of.emplace(id, m);
-  }
-
-  // Compact live slots in ascending tuple-id order (the full build's input
-  // order) and re-emit canonically.
-  std::vector<size_t> alive_slots;
-  alive_slots.reserve(slot_id.size());
-  for (size_t i = 0; i < slot_id.size(); ++i) {
-    if (!dead[i]) alive_slots.push_back(i);
-  }
-  std::sort(alive_slots.begin(), alive_slots.end(),
-            [&](size_t a, size_t b) { return slot_id[a] < slot_id[b]; });
-  std::vector<size_t> new_index(slot_id.size(), 0);
-  for (size_t k = 0; k < alive_slots.size(); ++k) {
-    new_index[alive_slots[k]] = k;
-  }
-  std::vector<TupleId> ids(alive_slots.size());
-  std::vector<std::vector<size_t>> out_succ(alive_slots.size());
-  std::vector<std::vector<size_t>> out_pred(alive_slots.size());
-  for (size_t k = 0; k < alive_slots.size(); ++k) {
-    size_t slot = alive_slots[k];
-    ids[k] = slot_id[slot];
-    out_succ[k].reserve(succ[slot].size());
-    for (size_t s : succ[slot]) out_succ[k].push_back(new_index[s]);
-    out_pred[k].reserve(pred[slot].size());
-    for (size_t p : pred[slot]) out_pred[k].push_back(new_index[p]);
-  }
-  *graph = EmitGraph(ids, std::move(out_succ), std::move(out_pred));
+    };
+  });
+  // EmitGraph's working copies: successor lists and three index arrays.
+  tracked.Grow(2 * covers.bytes() + 3 * n * sizeof(size_t));
+  return EmitGraph(ids, std::move(covers));
 }
 
 std::string SubsumptionGraphToString(const HierarchicalRelation& relation,

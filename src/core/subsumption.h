@@ -44,37 +44,16 @@ struct SubsumptionGraph {
 /// plain item subsumption extended with preference edges, matching what
 /// off-path inference consults.
 ///
-/// The pairwise binds-below tests (the n^2 dominant cost) are partitioned
-/// across the shared ThreadPool when `threads` > 1 (0 = one per hardware
-/// thread); the resulting graph is identical at any thread count.
+/// A tuple's covers lie among the tuples whose first component is a
+/// binding ancestor of its own, so candidates come from a per-build index
+/// of tuples by first component and each is verified with ItemBindsBelow;
+/// the work is proportional to the comparable pairs, not to n^2. The
+/// per-tuple searches are partitioned across the shared ThreadPool when
+/// `threads` > 1 (0 = one per hardware thread); the resulting graph is
+/// identical at any thread count. The build's working vectors count
+/// toward the statement's tracked peak bytes.
 SubsumptionGraph BuildSubsumptionGraph(const HierarchicalRelation& relation,
                                        size_t threads = 1);
-
-/// A batch of tuple-level changes separating a cached graph from the
-/// relation's present state: `remove` lists tuple ids leaving the graph,
-/// `add` ids (re-)entering it. A tuple whose binding relations may have
-/// shifted (e.g. its item touches a hierarchy edit's frontier) appears in
-/// both and is re-placed.
-struct SubsumptionDelta {
-  std::vector<TupleId> remove;
-  std::vector<TupleId> add;
-};
-
-/// Patches `graph` in place so it equals BuildSubsumptionGraph(relation) —
-/// byte-identical, at any thread count — at O(|delta| * n) item tests
-/// instead of O(n^2).
-///
-/// Precondition: (graph->nodes ∖ delta.remove) ∪ delta.add is exactly the
-/// relation's live tuple-id set, and every id in `delta.add` is live.
-///
-/// Removals are exact Hasse cover-deletions (for each former predecessor,
-/// former successors left unreachable get a direct edge); insertions are
-/// exact cover-insertions (≤ 2n item tests locate the new node's covers,
-/// then edges newly spanning it are dropped). The rewritten node set is
-/// re-emitted through the same deterministic assembly as a full build.
-void PatchSubsumptionGraph(const HierarchicalRelation& relation,
-                           const SubsumptionDelta& delta, size_t threads,
-                           SubsumptionGraph* graph);
 
 /// Multi-line rendering for debugging and the figure-reproduction binaries.
 std::string SubsumptionGraphToString(const HierarchicalRelation& relation,

@@ -1,7 +1,6 @@
 #include "core/subsumption_cache.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/str_util.h"
 #include "obs/log.h"
@@ -68,26 +67,10 @@ const SubsumptionGraph& SubsumptionCache::Get(
     if (outcome != nullptr) *outcome = GetOutcome::kHit;
     return entry->graph;
   }
-  bool journal_overflow = false;
-  if (entry->relation_version != 0 &&
-      incremental_.load(std::memory_order_relaxed) &&
-      TryPatch(*entry, relation, threads, &journal_overflow)) {
-    ++entry->patches;
-    {
-      obs::TrackedLock<std::mutex> lock(mutex_, MapLatchSite());
-      ++stats_.misses;
-      ++stats_.patches;
-    }
-    if (outcome != nullptr) *outcome = GetOutcome::kPatched;
-    HIREL_LOG(obs::LogLevel::kDebug, "subsumption_cache", "patch",
-              {{"relation", relation.name()}});
-    return entry->graph;
-  }
   {
     obs::TrackedLock<std::mutex> lock(mutex_, MapLatchSite());
     ++stats_.misses;
     ++stats_.rebuilds;
-    if (journal_overflow) ++stats_.journal_overflows;
   }
   entry->graph = BuildSubsumptionGraph(relation, threads);
   ++entry->rebuilds;
@@ -95,109 +78,6 @@ const SubsumptionGraph& SubsumptionCache::Get(
   entry->hierarchy_versions = HierarchyVersions(relation);
   if (outcome != nullptr) *outcome = GetOutcome::kRebuilt;
   return entry->graph;
-}
-
-bool SubsumptionCache::TryPatch(Entry& entry,
-                                const HierarchicalRelation& relation,
-                                size_t threads, bool* journal_overflow) {
-  const Schema& schema = relation.schema();
-  if (entry.hierarchy_versions.size() != schema.size()) return false;
-
-  // Hierarchy edits since the cached stamps: collect per-attribute dirty
-  // node sets. Any tuple whose item touches a dirty node must be
-  // re-placed (both endpoints of every changed binding pair are in the
-  // affected frontier, so re-placing all touching tuples is exact).
-  std::vector<std::unordered_set<NodeId>> dirty(schema.size());
-  bool any_dirty = false;
-  for (size_t i = 0; i < schema.size(); ++i) {
-    const Hierarchy* h = schema.hierarchy(i);
-    if (h->version() == entry.hierarchy_versions[i]) continue;
-    std::vector<NodeId> affected;
-    if (!h->AffectedSince(entry.hierarchy_versions[i], &affected)) {
-      return false;  // frontier unknown or too large: rebuild
-    }
-    for (NodeId n : affected) dirty[i].insert(n);
-    any_dirty = any_dirty || !dirty[i].empty();
-  }
-
-  // Tuple mutations since the cached stamp, from the relation journal.
-  std::optional<std::vector<MutationJournal::Record>> records =
-      relation.journal().Since(entry.relation_version);
-  if (!records.has_value()) {
-    *journal_overflow = true;
-    return false;
-  }
-
-  std::unordered_set<TupleId> in_graph(entry.graph.nodes.begin(),
-                                       entry.graph.nodes.end());
-  std::unordered_set<TupleId> removed, added;
-  for (const MutationJournal::Record& r : *records) {
-    switch (r.kind) {
-      case MutationJournal::Record::Kind::kInsert:
-        added.insert(r.id);
-        break;
-      case MutationJournal::Record::Kind::kErase:
-        // Insert-then-erase since the cached stamp cancels out; an erase
-        // of a tuple the graph holds is a removal.
-        if (added.erase(r.id) == 0 && in_graph.contains(r.id)) {
-          removed.insert(r.id);
-        }
-        break;
-      case MutationJournal::Record::Kind::kTruth:
-        // Truth values are not part of the graph's topology (consumers
-        // read them live from the relation), so nothing to patch.
-        break;
-    }
-  }
-
-  // Fold in tuples dirtied by hierarchy edits: re-place each live one.
-  if (any_dirty) {
-    for (TupleId id : relation.TupleIds()) {
-      bool is_dirty = false;
-      for (size_t i = 0; i < schema.size() && !is_dirty; ++i) {
-        if (!dirty[i].empty() &&
-            dirty[i].contains(relation.Component(id, i))) {
-          is_dirty = true;
-        }
-      }
-      if (!is_dirty) continue;
-      if (in_graph.contains(id) && !removed.contains(id)) {
-        removed.insert(id);
-        added.insert(id);
-      }
-      // A dirty tuple not in the graph was inserted since the stamp and
-      // is already in `added`.
-    }
-  }
-
-  // Cheap precondition check: the patched node set must be exactly the
-  // live set. A mismatch means bookkeeping went wrong somewhere — rebuild
-  // rather than risk a wrong graph.
-  if (entry.graph.nodes.size() - removed.size() + added.size() !=
-      relation.size()) {
-    return false;
-  }
-
-  // Cost heuristic: a patch re-places each changed tuple at O(n) item
-  // tests, so past ~n/4 changed tuples the n^2 parallel rebuild wins.
-  size_t work = removed.size() + added.size();
-  size_t n = entry.graph.nodes.size();
-  if (work > std::max<size_t>(16, n / 4)) return false;
-
-  if (work > 0) {
-    SubsumptionDelta delta;
-    delta.remove.assign(removed.begin(), removed.end());
-    delta.add.assign(added.begin(), added.end());
-    std::sort(delta.remove.begin(), delta.remove.end());
-    std::sort(delta.add.begin(), delta.add.end());
-    PatchSubsumptionGraph(relation, delta, threads, &entry.graph);
-  }
-  // work == 0: every journalled mutation cancelled out topologically
-  // (truth flips, insert-then-erase, edits touching no asserted item) —
-  // the graph is already current, only the stamps move.
-  entry.relation_version = relation.version();
-  entry.hierarchy_versions = HierarchyVersions(relation);
-  return true;
 }
 
 bool SubsumptionCache::Fresh(const HierarchicalRelation& relation) const {
@@ -266,7 +146,6 @@ std::vector<SubsumptionCache::EntryInfo> SubsumptionCache::Entries() const {
     info.relation = std::move(name);
     info.relation_version = entry->relation_version;
     info.graph_nodes = entry->graph.nodes.size();
-    info.patches = entry->patches;
     info.rebuilds = entry->rebuilds;
     out.push_back(std::move(info));
   }

@@ -1,24 +1,15 @@
 // SubsumptionCache: versioned per-relation cache of SubsumptionGraphs.
 //
-// BuildSubsumptionGraph is quadratic-to-cubic in the tuple count, and
-// consolidate, explicate (hence extension, aggregation, and every DERIVE
-// fixpoint round) rebuild it from scratch per call. Relations mutate far
-// less often than they are queried, so the graph is cached and keyed on
-// the relation's version stamp plus the version stamps of every hierarchy
-// in its schema (a CONNECT or PREFER can change subsumption between items
-// that are already asserted). Stamps come from the process-wide revision
-// counter (common/revision.h): equal stamps imply identical state, so a
-// hit can never be stale.
-//
-// On a stamp mismatch the cache first tries to *patch* the stale graph in
-// place: the relation's mutation journal names exactly which tuples
-// changed since the cached stamp, the schema hierarchies' edit journals
-// name which nodes a CONNECT/PREFER may have re-related, and
-// PatchSubsumptionGraph re-places just those tuples — byte-identical to a
-// full rebuild at a fraction of the item tests. A full parallel rebuild
-// remains the fallback whenever a journal no longer covers the stamp, the
-// delta is too large to be worth it, or patching is disabled
-// (set_incremental(false), the HQL SET INCREMENTAL OFF escape hatch).
+// Consolidate, explicate (hence extension, aggregation, and every DERIVE
+// fixpoint round) and the plan executor all need a relation's subsumption
+// graph. Relations mutate far less often than they are queried, so the
+// graph is cached and keyed on the relation's version stamp plus the
+// version stamps of every hierarchy in its schema (a CONNECT or PREFER can
+// change subsumption between items that are already asserted). Stamps come
+// from the process-wide revision counter (common/revision.h): equal stamps
+// imply identical state, so a hit can never be stale. On a stamp mismatch
+// the entry is rebuilt with BuildSubsumptionGraph, whose cost is
+// proportional to the relation's comparable tuple pairs.
 //
 // A Database owns one cache; the plan executor consults it for graphs of
 // base (catalog) relations and bypasses it for operator intermediates.
@@ -26,7 +17,6 @@
 #ifndef HIREL_CORE_SUBSUMPTION_CACHE_H_
 #define HIREL_CORE_SUBSUMPTION_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -57,18 +47,15 @@ class SubsumptionCache {
   enum class GetOutcome : uint8_t {
     kNone = 0,  // no Get happened (default for stats structs)
     kHit,       // stamps matched, graph returned as-is
-    kPatched,   // stale, journal delta applied in place
-    kRebuilt,   // stale, full rebuild
+    kRebuilt,   // stale or new, built from scratch
   };
 
   struct Stats {
     size_t hits = 0;
-    size_t misses = 0;  // always equals patches + rebuilds
+    size_t misses = 0;  // always equals rebuilds
+    /// Nothing increments this; it goes with bench_e2e's next change.
     size_t patches = 0;
     size_t rebuilds = 0;
-    /// Rebuilds forced specifically by the relation journal no longer
-    /// covering the cached stamp.
-    size_t journal_overflows = 0;
     size_t invalidations = 0;
   };
 
@@ -79,27 +66,16 @@ class SubsumptionCache {
     /// Tuples in the cached graph (0 for an entry allocated but never
     /// built).
     size_t graph_nodes = 0;
-    size_t patches = 0;
     size_t rebuilds = 0;
   };
 
-  /// Returns the subsumption graph of `relation`, reusing (or patching)
-  /// the entry for `relation.name()` when possible. `threads` is forwarded
-  /// to the build/patch kernels on a miss; `outcome`, if given, reports
-  /// how the call was served.
+  /// Returns the subsumption graph of `relation`, reusing the entry for
+  /// `relation.name()` when its stamps match and rebuilding it otherwise.
+  /// `threads` is forwarded to the build on a miss; `outcome`, if given,
+  /// reports how the call was served.
   const SubsumptionGraph& Get(const HierarchicalRelation& relation,
                               size_t threads = 1,
                               GetOutcome* outcome = nullptr);
-
-  /// Toggles the patch path (SET INCREMENTAL ON|OFF). Off, every stale
-  /// entry takes the full-rebuild path. Safe to flip concurrently with
-  /// Gets; in-flight calls may use either setting.
-  void set_incremental(bool on) {
-    incremental_.store(on, std::memory_order_relaxed);
-  }
-  bool incremental() const {
-    return incremental_.load(std::memory_order_relaxed);
-  }
 
   /// True iff a Get for `relation` right now would hit.
   bool Fresh(const HierarchicalRelation& relation) const;
@@ -126,7 +102,6 @@ class SubsumptionCache {
     uint64_t relation_version = 0;
     std::vector<uint64_t> hierarchy_versions;
     SubsumptionGraph graph;
-    size_t patches = 0;   // under build_mutex
     size_t rebuilds = 0;  // under build_mutex
   };
 
@@ -135,18 +110,9 @@ class SubsumptionCache {
   static bool Matches(const Entry& entry,
                       const HierarchicalRelation& relation);
 
-  /// Attempts to patch a stale entry in place (caller holds its
-  /// build_mutex; entry was built at least once). On success the graph and
-  /// stamps are current and true is returned. On failure nothing is
-  /// modified; `*journal_overflow` is set when the failure was the
-  /// relation journal not covering the cached stamp.
-  bool TryPatch(Entry& entry, const HierarchicalRelation& relation,
-                size_t threads, bool* journal_overflow);
-
   mutable std::mutex mutex_;  // guards entries_ (the map) and stats_
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
   Stats stats_;
-  std::atomic<bool> incremental_{true};
 };
 
 }  // namespace hirel

@@ -105,37 +105,15 @@ Status Hierarchy::AddEdge(NodeId parent, NodeId child) {
         StrCat("hierarchy '", name_, "': instance '", NodeName(parent),
                "' cannot subsume other nodes"));
   }
-  // A pre-reachable (redundant) edge changes no subsumption pair, so it
-  // needs no journal record; a novel edge's frontier must be captured
-  // before the mutation (the new edge cannot enlarge its own cones — that
-  // would need a cycle).
-  const bool pre_reachable = dag_.Reachable(parent, child);
-  std::optional<std::vector<NodeId>> cones;
-  if (!pre_reachable) cones = BindingCones(parent, child);
   if (options_.keep_redundant_edges) {
     Status s = dag_.AddEdge(parent, child);
     // Duplicate edges remain a no-op even in on-path mode.
     if (s.IsAlreadyExists()) return Status::OK();
-    if (s.ok()) {
-      version_ = NextRevision();
-      if (!pre_reachable) {
-        RecordEdit({version_, !cones.has_value(),
-                    cones.has_value() ? std::move(*cones)
-                                      : std::vector<NodeId>{}});
-      }
-    }
+    if (s.ok()) version_ = NextRevision();
     return s;
   }
-  bool inserted = false;
-  Status s = dag_.AddEdgeReduced(parent, child, &inserted);
-  if (s.ok()) {
-    version_ = NextRevision();
-    if (inserted && !pre_reachable) {
-      RecordEdit({version_, !cones.has_value(),
-                  cones.has_value() ? std::move(*cones)
-                                    : std::vector<NodeId>{}});
-    }
-  }
+  Status s = dag_.AddEdgeReduced(parent, child);
+  if (s.ok()) version_ = NextRevision();
   return s;
 }
 
@@ -158,13 +136,10 @@ Status Hierarchy::AddPreferenceEdge(NodeId weaker, NodeId stronger) {
   if (std::find(out.begin(), out.end(), stronger) != out.end()) {
     return Status::AlreadyExists("preference edge");
   }
-  std::optional<std::vector<NodeId>> cones = BindingCones(weaker, stronger);
   out.push_back(stronger);
   pref_in_[stronger].push_back(weaker);
   ++num_pref_edges_;
   version_ = NextRevision();
-  RecordEdit({version_, !cones.has_value(),
-              cones.has_value() ? std::move(*cones) : std::vector<NodeId>{}});
   return Status::OK();
 }
 
@@ -184,12 +159,8 @@ Status Hierarchy::EliminateNode(NodeId n) {
     --num_instances_;
   }
   // Node elimination reconnects predecessors to successors, so subsumption
-  // among the remaining nodes is preserved — only n itself (a tuple may
-  // still reference it) loses its relations. Preference edges are not
-  // rerouted, though: with any present, binding order through n may change
-  // arbitrarily, so journal an unbounded edit.
-  const bool had_pref_edges = num_pref_edges_ > 0;
-  // Drop preference edges incident on n.
+  // among the remaining nodes is preserved. Preference edges incident on n
+  // are dropped, not rerouted.
   for (NodeId v : pref_out_[n]) {
     auto& in = pref_in_[v];
     in.erase(std::remove(in.begin(), in.end(), n), in.end());
@@ -203,7 +174,6 @@ Status Hierarchy::EliminateNode(NodeId n) {
   pref_out_[n].clear();
   pref_in_[n].clear();
   version_ = NextRevision();
-  RecordEdit({version_, had_pref_edges, std::vector<NodeId>{n}});
   return dag_.EliminateNode(n, options_.keep_redundant_edges);
 }
 
@@ -343,59 +313,6 @@ size_t Hierarchy::CountAtomsUnder(NodeId n) const {
     if (is_instance(d)) ++count;
   }
   return count;
-}
-
-bool Hierarchy::AffectedSince(uint64_t version,
-                              std::vector<NodeId>* out) const {
-  if (version < edit_floor_version_) return false;
-  for (const RecordedEdit& e : edits_) {
-    if (e.version <= version) continue;
-    if (e.unbounded) return false;
-    out->insert(out->end(), e.affected.begin(), e.affected.end());
-  }
-  return true;
-}
-
-void Hierarchy::RecordEdit(RecordedEdit edit) {
-  if (edits_.size() >= kEditCapacity) {
-    edit_floor_version_ = edits_.front().version;
-    edits_.pop_front();
-  }
-  edits_.push_back(std::move(edit));
-}
-
-std::optional<std::vector<NodeId>> Hierarchy::BindingCones(
-    NodeId top, NodeId bottom) const {
-  std::vector<NodeId> out;
-  std::vector<bool> seen(dag_.capacity(), false);
-  auto bfs = [&](NodeId start, bool up) -> bool {
-    std::deque<NodeId> queue;
-    if (!seen[start]) {
-      seen[start] = true;
-      out.push_back(start);
-    }
-    queue.push_back(start);
-    while (!queue.empty()) {
-      NodeId cur = queue.front();
-      queue.pop_front();
-      auto visit = [&](NodeId next) {
-        if (!seen[next]) {
-          seen[next] = true;
-          out.push_back(next);
-          queue.push_back(next);
-        }
-      };
-      for (NodeId next : up ? dag_.Parents(cur) : dag_.Children(cur)) {
-        visit(next);
-      }
-      for (NodeId next : up ? pref_in_[cur] : pref_out_[cur]) visit(next);
-      if (out.size() > kAffectedCap) return false;
-    }
-    return true;
-  };
-  if (!bfs(top, /*up=*/true)) return std::nullopt;
-  if (!bfs(bottom, /*up=*/false)) return std::nullopt;
-  return out;
 }
 
 }  // namespace hirel

@@ -23,8 +23,6 @@
 #ifndef HIREL_HIERARCHY_HIERARCHY_H_
 #define HIREL_HIERARCHY_HIERARCHY_H_
 
-#include <deque>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -217,42 +215,7 @@ class Hierarchy {
     version_ = NextRevision();
   }
 
-  // ----- Edit journal --------------------------------------------------------
-
-  /// Appends to `out` every node whose binding relations to *pre-existing*
-  /// nodes may have changed by any edit newer than `version`; returns false
-  /// when the edit journal no longer covers `version` (ring overflow, or an
-  /// edit whose frontier was too large to record) — the caller must rebuild
-  /// derived structures from scratch.
-  ///
-  /// Only reachability-changing edits are journalled: adding a node, a
-  /// redundant edge, or changing the closure limit bumps version() without
-  /// altering BindsBelow between any existing pair, so those leave no
-  /// record and cost no ring space. For a novel subsumption or preference
-  /// edge g -> s the affected set is the union-graph (subsumption +
-  /// preference) ancestor cone of g plus the descendant cone of s, computed
-  /// before the mutation: any pair (x, y) whose BindsBelow changed routes
-  /// through the new edge, so x is in the first cone and y in the second —
-  /// both endpoints of every changed pair are reported.
-  bool AffectedSince(uint64_t version, std::vector<NodeId>* out) const;
-
  private:
-  /// One journalled reachability-changing edit.
-  struct RecordedEdit {
-    uint64_t version;  // the hierarchy's version stamp after the edit
-    bool unbounded;    // frontier exceeded kAffectedCap — forces rebuild
-    std::vector<NodeId> affected;
-  };
-  static constexpr size_t kEditCapacity = 64;
-  static constexpr size_t kAffectedCap = 4096;
-
-  void RecordEdit(RecordedEdit edit);
-
-  /// The union-graph ancestor cone of `top` plus descendant cone of
-  /// `bottom` (each including its seed), or nullopt past kAffectedCap.
-  std::optional<std::vector<NodeId>> BindingCones(NodeId top,
-                                                  NodeId bottom) const;
-
   Result<NodeId> AddNode(NodeKind kind, std::string class_name, Value value,
                          NodeId parent);
 
@@ -275,10 +238,6 @@ class Hierarchy {
 
   size_t num_classes_ = 0;
   size_t num_instances_ = 0;
-
-  std::deque<RecordedEdit> edits_;
-  /// Stamp of the newest dropped edit; versions below it are uncovered.
-  uint64_t edit_floor_version_ = 0;
 };
 
 }  // namespace hirel

@@ -113,9 +113,6 @@ struct TraceName {
   const char* operator()(const ExportTraceStmt&) const {
     return "export trace";
   }
-  const char* operator()(const SetIncrementalStmt&) const {
-    return "set incremental";
-  }
   const char* operator()(const SetTelemetryStmt&) const {
     return "set telemetry";
   }
@@ -340,7 +337,6 @@ Result<std::string> Executor::WriteDiagnostics(const std::string& path,
       *db_, cause,
       {
           {"threads", StrCat(ThreadPool::EffectiveThreads(options_.threads))},
-          {"incremental", incremental_ ? "on" : "off"},
           {"preemption", PreemptionModeToString(options_.preemption)},
           {"slow_query_ms", StrCat(slow_query_ms_)},
           {"diagnostics_dir", alerts_.diagnostics_dir()},
@@ -693,8 +689,8 @@ Result<std::string> Executor::ExecuteStatementImpl(
         std::optional<std::vector<TupleId>> seeds =
             DeltaConsolidateSeeds(stmt.relation, *relation);
         if (seeds.has_value()) {
-          // The cached graph is patched (or rebuilt) to current first; the
-          // delta sweep then walks only the seeds and whatever it removes.
+          // The cached graph is brought current first; the delta sweep
+          // then walks only the seeds and whatever it removes.
           const SubsumptionGraph& graph = db.subsumption_cache().Get(
               *relation, self.options_.threads);
           removed = ConsolidateDelta(*relation, counted, graph, *seeds);
@@ -722,15 +718,14 @@ Result<std::string> Executor::ExecuteStatementImpl(
     }
 
     /// The seed set for the delta form of CONSOLIDATE, or nullopt when a
-    /// full sweep is required: first consolidate of this relation, SET
-    /// INCREMENTAL OFF, non-offpath preemption (the redundancy rule delta
-    /// reasoning is stated for off-path inference), any hierarchy edit or
-    /// preference edge (erase seeding relies on dag-only TuplesSubsumedBy,
-    /// which under-approximates successors once preferences exist), or a
+    /// full sweep is required: first consolidate of this relation,
+    /// non-offpath preemption (the redundancy rule delta reasoning is
+    /// stated for off-path inference), any hierarchy edit or preference
+    /// edge (erase seeding relies on dag-only TuplesSubsumedBy, which
+    /// under-approximates successors once preferences exist), or a
     /// mutation journal that no longer covers the last consolidate.
     std::optional<std::vector<TupleId>> DeltaConsolidateSeeds(
         const std::string& name, const HierarchicalRelation& relation) {
-      if (!self.incremental_) return std::nullopt;
       if (self.options_.preemption != PreemptionMode::kOffPath) {
         return std::nullopt;
       }
@@ -1012,7 +1007,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       options.inference = self.options_;
       options.subsumption_cache = &db.subsumption_cache();
       options.trace = self.active_trace_;
-      options.incremental = self.incremental_;
       Result<size_t> derived = [&]() {
         obs::Trace::Scope span(self.active_trace_, "derive fixpoint");
         return engine.Evaluate(options);
@@ -1079,9 +1073,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
       // The loaded database has no providers; re-register them so sys.*
       // keeps answering (the history ring itself survives the swap).
       self.InstallSystemCatalog();
-      // Fresh database, fresh cache: carry the session's incremental
-      // setting over and forget consolidate marks for the old catalog.
-      self.db_->subsumption_cache().set_incremental(self.incremental_);
+      // Fresh database: forget consolidate marks for the old catalog.
       self.last_consolidated_.clear();
       return StrCat("loaded '", stmt.path, "'\n");
     }
@@ -1101,15 +1093,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       if (stmt.threshold_ms < 0) return std::string("slow-query log: off\n");
       return StrCat("slow-query log: threshold ", stmt.threshold_ms,
                     " ms\n");
-    }
-
-    Result<std::string> operator()(const SetIncrementalStmt& stmt) {
-      self.incremental_ = stmt.on;
-      db.subsumption_cache().set_incremental(stmt.on);
-      HIREL_LOG(obs::LogLevel::kInfo, "cache", "set_incremental",
-                {{"on", stmt.on ? "true" : "false"}});
-      return StrCat("incremental maintenance: ", stmt.on ? "on" : "off",
-                    "\n");
     }
 
     Result<std::string> operator()(const SetTelemetryStmt& stmt) {

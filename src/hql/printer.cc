@@ -35,8 +35,6 @@ std::string HelpText() {
     COMPRESS r;                                  -- re-encode minimally
     SET PREEMPTION offpath;                      -- or onpath / none
     SET THREADS 4;                               -- parallel kernels; 0 = auto, 1 = serial
-    SET INCREMENTAL on|off;                      -- journal-patched graphs, delta
-                                                 -- consolidate, semi-naive DERIVE
 
   rules (Datalog layer)
     RULE 'head(?x) :- body(?x), not other(?x).';

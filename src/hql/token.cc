@@ -21,7 +21,7 @@ constexpr std::array kReservedWords = {
     "COUNT",       "BY",        "SUBSUMPTION", "BINDING",   "PLAN",
     "ANALYZE",     "METRICS",   "TRACE",     "RESET",     "JSON",
     "THREADS",     "LOG",       "EXPORT",    "PROMETHEUS",
-    "SLOW_QUERY_MS", "QUERIES",   "INCREMENTAL",
+    "SLOW_QUERY_MS", "QUERIES",
     "TELEMETRY",   "INTERVAL",
 };
 

@@ -246,8 +246,7 @@ std::vector<VirtualRow> CacheRows(const Database& db) {
   for (const SubsumptionCache::EntryInfo& entry :
        db.subsumption_cache().Entries()) {
     rows.push_back({Str(entry.relation), Num(entry.relation_version),
-                    Num(entry.graph_nodes), Num(entry.patches),
-                    Num(entry.rebuilds)});
+                    Num(entry.graph_nodes), Num(entry.rebuilds)});
   }
   return rows;
 }
@@ -513,7 +512,6 @@ void RegisterSystemCatalog(Database& db, const SysSources& sources) {
       MakeSchema({{"relation", d.label},
                   {"version", d.num},
                   {"graph_nodes", d.num},
-                  {"patched", d.num},
                   {"rebuilt", d.num}}),
       [dbp] { return CacheRows(*dbp); });
   add("sys.pool", MakeSchema({{"thread", d.label}, {"busy_ms", d.num}}),
@@ -595,13 +593,7 @@ void SyncEngineGauges(const Database& db, const SysSources& sources) {
       .Set(static_cast<int64_t>(cache.stats().invalidations));
   m.gauge("subsumption_cache.entries")
       .Set(static_cast<int64_t>(cache.size()));
-  // Incremental-maintenance split of the miss count: patched in place vs
-  // rebuilt from scratch, and how often the mutation journal had already
-  // wrapped (forcing a rebuild).
-  m.gauge("cache.patched").Set(static_cast<int64_t>(cache.stats().patches));
   m.gauge("cache.rebuilt").Set(static_cast<int64_t>(cache.stats().rebuilds));
-  m.gauge("cache.journal_overflows")
-      .Set(static_cast<int64_t>(cache.stats().journal_overflows));
   ThreadPool::Stats pool = ThreadPool::Shared().GetStats();
   m.gauge("pool.workers").Set(static_cast<int64_t>(pool.workers));
   m.gauge("pool.regions").Set(static_cast<int64_t>(pool.regions));

@@ -25,7 +25,7 @@
 //                  then the virtual ones (no chunks, no bytes).
 //   sys.columns    (relation, column, col_bytes)   per-column byte
 //                  breakdown of every stored relation.
-//   sys.cache      (relation, version, graph_nodes, patched, rebuilt)
+//   sys.cache      (relation, version, graph_nodes, rebuilt)
 //                  SubsumptionCache entries with their version stamps.
 //   sys.pool       (thread, busy_ms)   per-thread busy time of the shared
 //                  worker pool ("caller", "worker0", ...).

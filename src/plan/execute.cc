@@ -122,13 +122,6 @@ class Walker {
       } else {
         ++stats_->graph_cache_misses;
         if (ns != nullptr) ++ns->graph_cache_misses;
-        if (outcome == SubsumptionCache::GetOutcome::kPatched) {
-          ++stats_->graph_cache_patched;
-        }
-      }
-      if (ns != nullptr) {
-        ns->cache_outcome = outcome;
-        ns->cache_incremental = options_.cache->incremental();
       }
     }
     return graph;

@@ -66,15 +66,6 @@ struct PlanNodeStats {
   uint64_t subsumption_probes = 0;
   size_t graph_cache_hits = 0;
   size_t graph_cache_misses = 0;
-  /// How the node's graph-cache lookup (if any) was served: hit, patched
-  /// in place from the mutation journal, or fully rebuilt. kNone for nodes
-  /// that consult no cache. EXPLAIN ANALYZE renders misses as
-  /// `patched=true|false`.
-  SubsumptionCache::GetOutcome cache_outcome =
-      SubsumptionCache::GetOutcome::kNone;
-  /// Whether the cache's incremental patch path was enabled at lookup
-  /// time (the SET INCREMENTAL switch); rendered as `incremental=on|off`.
-  bool cache_incremental = false;
   /// Effective worker count the node's kernel may fan out to; 0 or 1 means
   /// it ran serially. EXPLAIN ANALYZE renders values > 1 as `workers=N`.
   size_t workers = 0;
@@ -90,9 +81,6 @@ struct ExecStats {
   size_t nodes_executed = 0;
   size_t graph_cache_hits = 0;
   size_t graph_cache_misses = 0;
-  /// Of the misses, how many were served by patching the cached graph in
-  /// place instead of rebuilding it.
-  size_t graph_cache_patched = 0;
   /// Total strongest-binding computations across the plan.
   uint64_t subsumption_probes = 0;
   /// Tuples read by the plan's Scan nodes (stored or virtual): the

@@ -67,12 +67,6 @@ void Render(const PlanNode& node, size_t depth, const ExecStats* exec,
       if (ns.graph_cache_hits + ns.graph_cache_misses > 0) {
         out += StrCat(" graph_cache=", ns.graph_cache_hits, "/",
                       ns.graph_cache_hits + ns.graph_cache_misses, " hit");
-        out += StrCat(" incremental=", ns.cache_incremental ? "on" : "off");
-        if (ns.cache_outcome == SubsumptionCache::GetOutcome::kPatched) {
-          out += " patched=true";
-        } else if (ns.cache_outcome == SubsumptionCache::GetOutcome::kRebuilt) {
-          out += " patched=false";
-        }
       }
       if (ns.workers > 1) {
         out += StrCat(" workers=", ns.workers);
@@ -204,8 +198,7 @@ std::string ExplainAnalyzeTree(const PlanNode& root, const ExecStats& exec,
   out += StrCat("totals: nodes=", exec.nodes_executed, " probes=",
                 exec.subsumption_probes, " graph_cache_hits=",
                 exec.graph_cache_hits, " graph_cache_misses=",
-                exec.graph_cache_misses, " graph_patched=",
-                exec.graph_cache_patched, " wait_ns=", exec.wait_ns, "\n");
+                exec.graph_cache_misses, " wait_ns=", exec.wait_ns, "\n");
   return out;
 }
 

@@ -87,8 +87,8 @@ struct RuleOptions {
   /// not re-scanned at all, and one holding only positive atomic tuples
   /// (the shape derived relations converge to) has its extension extended
   /// by the journalled inserts instead of a full rescan. Results are
-  /// byte-identical either way — rows, deltas, and probe totals; SET
-  /// INCREMENTAL OFF clears this for A/B comparison.
+  /// byte-identical either way — rows, deltas, and probe totals. Only
+  /// tests clear this, to run the naive DERIVE as a reference.
   bool incremental = true;
 };
 

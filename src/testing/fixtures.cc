@@ -1,5 +1,6 @@
 #include "testing/fixtures.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/str_util.h"
@@ -217,6 +218,69 @@ Hierarchy* BuildTreeHierarchy(Database& db, const std::string& name,
     }
   }
   return h;
+}
+
+SubsumptionGraph PairwiseSubsumptionGraph(
+    const HierarchicalRelation& relation) {
+  const Schema& schema = relation.schema();
+  const std::vector<TupleId> ids = relation.TupleIds();
+  const size_t n = ids.size();
+  std::vector<std::vector<size_t>> above(n);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      if (a != b && ItemBindsBelow(schema, relation.ItemAt(ids[a]),
+                                   relation.ItemAt(ids[b]))) {
+        above[b].push_back(a);
+      }
+    }
+  }
+  // a covers b unless a lies above another member c of above[b].
+  std::vector<std::vector<size_t>> pred(n), succ(n);
+  std::vector<size_t> above_a_member(n, 0);  // == b + 1 while at b
+  for (size_t b = 0; b < n; ++b) {
+    for (size_t c : above[b]) {
+      for (size_t a : above[c]) above_a_member[a] = b + 1;
+    }
+    for (size_t a : above[b]) {
+      if (above_a_member[a] != b + 1) {
+        pred[b].push_back(a);
+        succ[a].push_back(b);
+      }
+    }
+  }
+
+  // Kahn's sort, FIFO, ready nodes seeded in tuple-id order.
+  std::vector<size_t> indegree(n), order;
+  for (size_t i = 0; i < n; ++i) {
+    indegree[i] = pred[i].size();
+    if (indegree[i] == 0) order.push_back(i);
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (size_t v : succ[order[head]]) {
+      if (--indegree[v] == 0) order.push_back(v);
+    }
+  }
+  std::vector<size_t> position(n);
+  for (size_t i = 0; i < n; ++i) position[order[i]] = i;
+
+  SubsumptionGraph graph;
+  graph.nodes.resize(n);
+  graph.successors.resize(n);
+  graph.predecessors.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    graph.nodes[i] = ids[order[i]];
+    for (size_t s : succ[order[i]]) graph.successors[i].push_back(position[s]);
+    for (size_t p : pred[order[i]]) {
+      graph.predecessors[i].push_back(position[p]);
+    }
+    std::sort(graph.successors[i].begin(), graph.successors[i].end());
+    std::sort(graph.predecessors[i].begin(), graph.predecessors[i].end());
+    if (graph.predecessors[i].empty()) {
+      graph.predecessors[i].push_back(SubsumptionGraph::kUniversalNode);
+      graph.sources.push_back(i);
+    }
+  }
+  return graph;
 }
 
 }  // namespace testing

@@ -8,6 +8,7 @@
 
 #include "catalog/database.h"
 #include "common/random.h"
+#include "core/subsumption.h"
 
 namespace hirel {
 namespace testing {
@@ -131,6 +132,13 @@ class RandomDatabase {
 Hierarchy* BuildTreeHierarchy(Database& db, const std::string& name,
                               size_t depth, size_t fanout,
                               size_t instances_per_leaf);
+
+/// The subsumption graph straight from its definition, as the oracle of
+/// differential tests: a double loop over tuple pairs for the strict
+/// binding order, each tuple's covers are the members of its above-set
+/// that lie above no other member, and the graph is assembled in the same
+/// canonical form as BuildSubsumptionGraph. Serial, no bitsets.
+SubsumptionGraph PairwiseSubsumptionGraph(const HierarchicalRelation& relation);
 
 }  // namespace testing
 }  // namespace hirel

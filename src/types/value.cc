@@ -1,7 +1,7 @@
 #include "types/value.h"
 
+#include <charconv>
 #include <functional>
-#include <sstream>
 
 namespace hirel {
 
@@ -34,9 +34,10 @@ std::string Value::ToString() const {
     case ValueType::kInt:
       return std::to_string(AsInt());
     case ValueType::kDouble: {
-      std::ostringstream oss;
-      oss << AsDouble();
-      std::string out = oss.str();
+      // The shortest form that parses back to the same double.
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof(buf), AsDouble()).ptr;
+      std::string out(buf, end);
       // Whole numbers keep a ".0" so they read as doubles ("2.0"); the
       // exponent form ("-2.5e+09"), inf and nan already do.
       if (out.find_first_of(".en") == std::string::npos) out += ".0";

@@ -13,6 +13,8 @@
 #include <variant>
 #include <vector>
 
+#include "catalog/virtual_relation.h"
+#include "hierarchy/hierarchy.h"
 #include "hql/executor.h"
 #include "hql/parser.h"
 #include "obs/sys_catalog.h"
@@ -164,6 +166,29 @@ JsonScalar Expected(const Value& value) {
   }
 }
 
+/// A one-row relation whose only value is a double that needs more than
+/// six significant digits.
+class OneDoubleProvider : public VirtualRelationProvider {
+ public:
+  explicit OneDoubleProvider(Hierarchy* domain) {
+    EXPECT_TRUE(schema_.Append("rate_per_s", domain).ok());
+  }
+  const std::string& name() const override { return name_; }
+  const Schema& schema() const override { return schema_; }
+  std::vector<VirtualRow> Rows() override {
+    return {{Value::Double(1234567.25)}};
+  }
+  void RefreshDomains() override {}
+  size_t EstimatedRows() override { return 1; }
+  Result<HierarchicalRelation> Materialize() override {
+    return Status::NotSupported("rows only");
+  }
+
+ private:
+  std::string name_ = "test.rates";
+  Schema schema_;
+};
+
 /// Logs, records waits, fires and resolves an alert, and ticks telemetry
 /// (the sampler thread stays off, so every tick is explicit).
 constexpr const char* kSetUp = R"(
@@ -291,6 +316,16 @@ TEST_F(SysViewsTest, JsonHasOneObjectPerRowKeyedByColumn) {
     size_t recorded = std::string_view(view.relation) == "sys.queries";
     EXPECT_EQ(tuples, rows.size() + recorded) << selected;
   }
+
+  // Doubles print in shortest round-trip form, not to six digits.
+  Hierarchy domain("rate");
+  OneDoubleProvider rates(&domain);
+  std::vector<JsonObject> objects;
+  ASSERT_TRUE(RowsJsonParser(obs::RowsJson(rates)).Parse(&objects));
+  ASSERT_EQ(objects.size(), 1u);
+  ASSERT_EQ(objects[0].size(), 1u);
+  EXPECT_EQ(objects[0][0].second.kind, 'n');
+  EXPECT_EQ(objects[0][0].second.text, "1234567.25");
 }
 
 TEST_F(SysViewsTest, SetUpStateIsVisibleInTheViews) {

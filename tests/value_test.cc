@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <unordered_set>
 
 namespace hirel {
@@ -29,6 +30,17 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Double(-2.5e9).ToString(), "-2.5e+09");
   EXPECT_EQ(Value::Double(0.125).ToString(), "0.125");
   EXPECT_EQ(Value::String("tweety").ToString(), "tweety");
+}
+
+TEST(ValueTest, DoublesPrintInShortestRoundTripForm) {
+  for (double d : {0.1, 1e-7, 1234567.0, 3.141592653589793, -2.5e9}) {
+    const std::string text = Value::Double(d).ToString();
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), d) << text;
+  }
+  // Seven significant digits survive, and whole numbers keep their ".0".
+  EXPECT_EQ(Value::Double(1234567.0).ToString(), "1234567.0");
+  EXPECT_EQ(Value::Double(3.141592653589793).ToString(), "3.141592653589793");
+  EXPECT_EQ(Value::Double(0.1).ToString(), "0.1");
 }
 
 TEST(ValueTest, EqualityIsTypeAware) {

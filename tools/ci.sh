@@ -177,13 +177,13 @@ for preset in "${presets[@]}"; do
     echo "==== ${preset}: end-to-end benchmark smoke ===="
     python3 bench_e2e/smoke.py
 
-    # The guarded-write gates of tools/bench.sh (delta check against the
-    # full check, and its growth from 10^3 to 10^4 tuples) and the
-    # end-to-end HQL mutate+count speedup gate at 10^4 tuples.
-    echo "==== ${preset}: guarded-write and HQL mutate bench gates ===="
+    # The gates of tools/bench.sh: guarded writes (delta check against the
+    # full check, and its growth from 10^3 to 10^4 tuples), and the growth
+    # per decade of the mutate-then-rebuild loop, kernel and end to end.
+    echo "==== ${preset}: guarded-write and mutate-then-query bench gates ===="
     gate_summary="$(mktemp)"
     tools/bench.sh "build/${preset}" "${gate_summary}" \
-        '--benchmark_filter=BM_GuardedMutate|BM_HqlMutateCountLoop/10000/'
+        '--benchmark_filter=BM_GuardedMutate|BM_HqlMutateCountLoop|BM_MutateThenGetGraph'
     rm -f "${gate_summary}"
   fi
 done
