@@ -8,14 +8,18 @@
 //                            each followed by the full CheckAmbiguity
 //                            (what every guarded write used to pay)
 // BM_GuardedMutate/N/1     — the same writes with the delta check alone
+// BM_HierarchyBulkLoad/N   — hierarchy DDL: 64 leaf and 16 brand classes,
+//                            then N instances, each under a leaf and a
+//                            brand (CREATE INSTANCE ... UNDER leaf, brand)
 //
 // tools/bench.sh fails the run if BM_MutateThenGetGraph grows more than
 // 25x per decade of tuples (10^3 -> 10^4 and 10^4 -> 10^5), if
 // BM_HqlMutateCountLoop grows more than 25x from 10^3 to 10^4, if the
 // delta-checked writes are less than 20x faster than the full-check arm
-// at 10^4 tuples, or if they cost more than 3x as much at 10^4 as at
-// 10^3; it also diffs against the committed BENCH_incremental.json
-// baseline.
+// at 10^4 tuples, if they cost more than 3x as much at 10^4 as at
+// 10^3, or if BM_HierarchyBulkLoad's time per instance grows more than 15x
+// from 10^3 to 10^4 instances; it also diffs against the committed
+// BENCH_incremental.json baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -162,6 +166,42 @@ BENCHMARK(BM_GuardedMutate)
     ->Args({10000, 0})
     ->Args({10000, 1})
     ->Unit(benchmark::kMicrosecond);
+
+/// Bulk hierarchy DDL: every instance's second parent edge asks the DAG
+/// whether the brand already reaches it, so each one pays a query against
+/// the reachability index the previous edge invalidated.
+void BM_HierarchyBulkLoad(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    Database db;
+    Hierarchy* h = db.CreateHierarchy("product").value();
+    std::vector<NodeId> leaves, brands;
+    for (int j = 0; j < 64; ++j) {
+      leaves.push_back(h->AddClass("leaf" + std::to_string(j)).value());
+    }
+    for (int k = 0; k < 16; ++k) {
+      brands.push_back(h->AddClass("brand" + std::to_string(k)).value());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      Result<NodeId> sku =
+          h->AddInstance(Value::Int(static_cast<int64_t>(i)), leaves[i % 64]);
+      if (!sku.ok() || !h->AddEdge(brands[(i / 64) % 16], *sku).ok()) {
+        state.SkipWithError("bulk load failed");
+        return;
+      }
+    }
+    benchmark::DoNotOptimize(h->num_nodes());
+  }
+  state.counters["instances"] = static_cast<double>(n);
+  state.counters["s_per_instance"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_HierarchyBulkLoad)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hirel

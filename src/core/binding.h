@@ -35,7 +35,8 @@ struct InferenceOptions {
   /// any value. Inference itself (one strongest-binding computation) is
   /// always sequential; kernels partition their per-item probes across the
   /// shared ThreadPool. Concurrent probes are safe because they only read
-  /// the relation and the hierarchies' immutable ReachabilitySnapshots.
+  /// the relation and the hierarchies' reachability indexes, which are
+  /// built once per version under a lock and then read lock-free.
   size_t threads = 1;
 
   /// When non-null, incremented once per strongest-binding computation (the

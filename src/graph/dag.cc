@@ -22,7 +22,7 @@ NodeId Dag::AddNode() {
   in_.emplace_back();
   alive_.push_back(true);
   ++num_alive_;
-  InvalidateClosure();
+  InvalidateIndex();
   return id;
 }
 
@@ -46,7 +46,7 @@ Status Dag::AddEdge(NodeId u, NodeId v) {
   out_[u].push_back(v);
   in_[v].push_back(u);
   ++num_edges_;
-  InvalidateClosure();
+  InvalidateIndex();
   return Status::OK();
 }
 
@@ -96,7 +96,7 @@ Status Dag::AddEdgeReduced(NodeId u, NodeId v, bool* inserted) {
   in_[v].push_back(u);
   ++num_edges_;
   if (inserted != nullptr) *inserted = true;
-  InvalidateClosure();
+  InvalidateIndex();
   return Status::OK();
 }
 
@@ -107,7 +107,7 @@ Status Dag::RemoveEdge(NodeId u, NodeId v) {
   EraseValue(out_[u], v);
   EraseValue(in_[v], u);
   --num_edges_;
-  InvalidateClosure();
+  InvalidateIndex();
   return Status::OK();
 }
 
@@ -125,7 +125,7 @@ Status Dag::RemoveNode(NodeId n) {
   in_[n].clear();
   alive_[n] = false;
   --num_alive_;
-  InvalidateClosure();
+  InvalidateIndex();
   return Status::OK();
 }
 
@@ -155,7 +155,7 @@ Status Dag::EliminateNode(NodeId n, bool keep_redundant_edges) {
       out_[j].push_back(k);
       in_[k].push_back(j);
       ++num_edges_;
-      InvalidateClosure();
+      InvalidateIndex();
     }
   }
   return Status::OK();
@@ -171,38 +171,38 @@ bool Dag::Reachable(NodeId u, NodeId v) const {
   if (!alive(u) || !alive(v)) return false;
   if (u == v) return true;
   // Trivial cases first: they keep bulk construction (edge to or from a
-  // fresh node) from ever touching the snapshot.
+  // fresh node) from ever touching the index.
   if (out_[u].empty() || in_[v].empty()) return false;
-  // Lock-free query path: load the published snapshot; only a stale (or
-  // never-built) snapshot pays the mutex-guarded rebuild.
-  const ReachabilitySnapshot* snap =
-      snapshot_ptr_.load(std::memory_order_acquire);
-  if (snap == nullptr) snap = EnsureSnapshot();
-  switch (snap->Query(u, v)) {
-    case ReachabilitySnapshot::Answer::kYes:
-      return true;
-    case ReachabilitySnapshot::Answer::kNo:
-      return false;
-    case ReachabilitySnapshot::Answer::kUnknown:
-      break;
-  }
-  return ReachableBfs(u, v);
-}
+  // Lock-free query path: only a stale (or never-built) index pays the
+  // mutex-guarded rebuild.
+  if (!index_valid_.load(std::memory_order_acquire)) EnsureIndex();
+  if (Contains(u, v)) return true;
+  if (labels_[v].up == kInvalidNode) return false;
 
-bool Dag::ReachableBfs(NodeId u, NodeId v) const {
-  std::vector<bool> seen(capacity(), false);
-  std::deque<NodeId> queue{u};
-  seen[u] = true;
-  while (!queue.empty()) {
-    NodeId cur = queue.front();
-    queue.pop_front();
-    for (NodeId next : out_[cur]) {
-      if (next == v) return true;
-      if (!seen[next]) {
-        seen[next] = true;
-        queue.push_back(next);
-      }
+  // A path from u that is not all first-parent edges enters v's first-parent
+  // chain through a non-first parent p of some join node y on that chain;
+  // then u reaches p, which recurses from p's own chain. `up` jumps straight
+  // to the join nodes, and the per-thread epoch marks visit each once.
+  thread_local std::vector<uint32_t> marks;
+  thread_local uint32_t epoch = 0;
+  thread_local std::vector<NodeId> stack;
+  if (marks.size() < capacity()) marks.resize(capacity(), 0);
+  if (++epoch == 0) {
+    std::fill(marks.begin(), marks.end(), 0);
+    epoch = 1;
+  }
+  stack.assign(1, labels_[v].up);
+  while (!stack.empty()) {
+    NodeId y = stack.back();
+    stack.pop_back();
+    if (y == kInvalidNode || marks[y] == epoch) continue;
+    marks[y] = epoch;
+    const std::vector<NodeId>& parents = in_[y];
+    for (size_t i = 1; i < parents.size(); ++i) {
+      if (Contains(u, parents[i])) return true;
+      stack.push_back(labels_[parents[i]].up);
     }
+    stack.push_back(labels_[parents[0]].up);
   }
   return false;
 }
@@ -331,114 +331,46 @@ bool Dag::HasRedundantEdge() const {
   return false;
 }
 
-const DynamicBitset& Dag::ClosureRow(NodeId n) const {
-  assert(alive(n));
-  const ReachabilitySnapshot* snap =
-      snapshot_ptr_.load(std::memory_order_acquire);
-  if (snap == nullptr) snap = EnsureSnapshot();
-  assert(snap->closure_backed() &&
-         "ClosureRow requires capacity() <= closure_node_limit()");
-  return snap->ClosureRow(n);
-}
-
-std::shared_ptr<const ReachabilitySnapshot> Dag::reachability() const {
-  EnsureSnapshot();
-  // Safe to copy without the mutex: under the single-writer contract no
-  // rebuild replaces snapshot_ concurrently with queries, and EnsureSnapshot
-  // ordered the store of snapshot_ before our read.
-  return snapshot_;
-}
-
-void Dag::SetClosureNodeLimit(size_t limit) {
-  closure_node_limit_ = limit;
-  InvalidateClosure();
-}
-
 void Dag::CopyFrom(const Dag& other) {
   out_ = other.out_;
   in_ = other.in_;
   alive_ = other.alive_;
   num_alive_ = other.num_alive_;
   num_edges_ = other.num_edges_;
-  closure_node_limit_ = other.closure_node_limit_;
-  // Snapshots are rebuilt on demand; the mutex is never copied.
-  snapshot_ptr_.store(nullptr, std::memory_order_release);
-  snapshot_.reset();
+  // The index is rebuilt on demand; the mutex is never copied.
+  InvalidateIndex();
 }
 
-const ReachabilitySnapshot* Dag::EnsureSnapshot() const {
-  const ReachabilitySnapshot* snap =
-      snapshot_ptr_.load(std::memory_order_acquire);
-  if (snap != nullptr) return snap;
+void Dag::EnsureIndex() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  snap = snapshot_ptr_.load(std::memory_order_relaxed);
-  if (snap != nullptr) return snap;
-  snapshot_ = BuildSnapshot();
-  // The release store publishes the fully built snapshot; concurrent
-  // queries either see null (and take the mutex) or the complete object.
-  snapshot_ptr_.store(snapshot_.get(), std::memory_order_release);
-  return snapshot_.get();
-}
-
-std::shared_ptr<const ReachabilitySnapshot> Dag::BuildSnapshot() const {
-  auto snap = std::make_shared<ReachabilitySnapshot>();
-  const size_t cap = capacity();
-  if (cap <= closure_node_limit_) {
-    snap->closure_backed_ = true;
-    snap->closure_.assign(cap, DynamicBitset(cap));
-    // Process in reverse topological order so each node's row can absorb
-    // the already-complete rows of its children.
-    std::vector<NodeId> topo = TopologicalOrder();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      NodeId n = *it;
-      snap->closure_[n].Set(n);
-      for (NodeId c : out_[n]) snap->closure_[n].UnionWith(snap->closure_[c]);
-    }
-    return snap;
-  }
-  // Large graph: spanning-forest interval index. A DFS over each node's
-  // first-parent spanning tree assigns [enter, exit) ranges such that
-  // containment implies reachability (sound fast path; the BFS remains the
-  // complete slow path). single_parent_ is true when the graph IS its
-  // spanning forest (every node has <= 1 parent), making the fast path
-  // complete.
-  snap->enter_.assign(cap, 0);
-  snap->exit_.assign(cap, 0);
-  snap->single_parent_ = true;
-  for (NodeId n = 0; n < cap; ++n) {
-    if (alive_[n] && in_[n].size() > 1) {
-      snap->single_parent_ = false;
-      break;
-    }
-  }
+  if (index_valid_.load(std::memory_order_relaxed)) return;
   // Iterative DFS over the first-parent spanning forest: each node is
-  // visited from its first recorded parent only.
-  auto first_child_of = [&](NodeId parent, NodeId child) {
-    return !in_[child].empty() && in_[child][0] == parent;
-  };
+  // entered from its first parent only. Every live node's first-parent
+  // chain ends at a root, so the DFS labels every live node.
+  labels_.assign(capacity(), Label{});
   uint32_t clock = 0;
   std::vector<std::pair<NodeId, size_t>> stack;  // (node, next child idx)
-  for (NodeId root = 0; root < cap; ++root) {
+  for (NodeId root = 0; root < capacity(); ++root) {
     if (!alive_[root] || !in_[root].empty()) continue;
+    labels_[root].enter = clock++;
     stack.emplace_back(root, 0);
-    snap->enter_[root] = clock++;
     while (!stack.empty()) {
       auto& [node, next] = stack.back();
       if (next < out_[node].size()) {
         NodeId child = out_[node][next++];
-        if (first_child_of(node, child)) {
-          snap->enter_[child] = clock++;
-          stack.emplace_back(child, 0);
-        }
+        if (in_[child][0] != node) continue;
+        labels_[child].enter = clock++;
+        labels_[child].up = in_[child].size() > 1 ? child : labels_[node].up;
+        stack.emplace_back(child, 0);
       } else {
-        snap->exit_[node] = clock;
+        labels_[node].exit = clock;
         stack.pop_back();
       }
     }
   }
-  // Nodes reached only through non-first parents keep [0, 0): the fast
-  // path never claims them, and single-parent graphs have none.
-  return snap;
+  // The release store publishes the fully built labels; concurrent queries
+  // either see false (and take the mutex) or the complete index.
+  index_valid_.store(true, std::memory_order_release);
 }
 
 }  // namespace hirel

@@ -14,11 +14,9 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "common/bitset.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -31,69 +29,29 @@ using NodeId = uint32_t;
 /// Sentinel for "no node".
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 
-/// An immutable view answering "is v reachable from u?" for one version of
-/// a Dag. Built once per version stamp and shared via shared_ptr, so any
-/// number of threads can query it concurrently with no synchronization:
-/// this is what makes parallel strongest-binding probes safe and fast.
-///
-/// Two representations, chosen by graph size (Dag::closure_node_limit):
-///  * closure-backed — one transitive-closure bitset row per node; every
-///    query is decided (kYes/kNo).
-///  * interval-backed — DFS [enter, exit) ranges over the first-parent
-///    spanning forest. Containment proves reachability (kYes); on
-///    single-parent graphs non-containment disproves it (kNo); otherwise
-///    the answer is kUnknown and the caller falls back to a BFS.
-class ReachabilitySnapshot {
- public:
-  enum class Answer : uint8_t { kNo = 0, kYes = 1, kUnknown = 2 };
-
-  /// Answers for live nodes u != v; the trivial cases are the caller's.
-  Answer Query(NodeId u, NodeId v) const {
-    if (closure_backed_) {
-      return closure_[u].Test(v) ? Answer::kYes : Answer::kNo;
-    }
-    // exit_ == 0 marks a node the spanning-forest DFS never reached (only
-    // possible via a non-first parent); such nodes bypass the fast path.
-    if (exit_[v] != 0 && enter_[u] <= enter_[v] && exit_[v] <= exit_[u]) {
-      return Answer::kYes;
-    }
-    return single_parent_ ? Answer::kNo : Answer::kUnknown;
-  }
-
-  /// True when every query is decided without a BFS fallback.
-  bool complete() const { return closure_backed_ || single_parent_; }
-
-  bool closure_backed() const { return closure_backed_; }
-
-  /// Reachability row for n (bit i set iff i is reachable from n).
-  /// Requires closure_backed().
-  const DynamicBitset& ClosureRow(NodeId n) const { return closure_[n]; }
-
- private:
-  friend class Dag;
-
-  bool closure_backed_ = false;
-  bool single_parent_ = false;
-  std::vector<DynamicBitset> closure_;
-  std::vector<uint32_t> enter_;
-  std::vector<uint32_t> exit_;
-};
-
 /// A mutable DAG with cycle rejection, reachability, topological orderings,
 /// incremental transitive reduction, and the paper's node elimination.
 ///
-/// Thread-safety: concurrent const (query) access is safe. Reachability is
-/// served from an immutable ReachabilitySnapshot published through an
-/// atomic pointer — after the one-time build (mutex-guarded, double
-/// checked) the query path takes no lock and touches no mutable state.
-/// Mutations are single-writer: callers must exclude queries while
-/// mutating, matching the paper's single-user model.
+/// Reachability is answered from one exact index, rebuilt lazily in O(V + E)
+/// on the first non-trivial query after a mutation:
+///  * [enter, exit) ranges from a DFS over the first-parent spanning forest
+///    (each node hangs under Parents(n)[0]), so u reaches v along first
+///    parents iff u's range contains v's;
+///  * up[n], the nearest node on n's first-parent chain (n included) with two
+///    or more parents. Any other path into v must enter its first-parent
+///    chain through a non-first parent of such a node, so a query walks only
+///    those join nodes, recursively, each at most once.
+/// On trees and chains every query is O(1); on a DAG it costs the number of
+/// multi-parent ancestors it visits. This is a minimal form of the interval
+/// labels of Agrawal, Borgida & Jagadish (SIGMOD 1989).
+///
+/// Thread-safety: concurrent const (query) access is safe. The index is
+/// built under a mutex (double checked) and published through an atomic
+/// flag, after which queries take no lock; each thread marks visited join
+/// nodes in its own scratch. Mutations are single-writer: callers must
+/// exclude queries while mutating, matching the paper's single-user model.
 class Dag {
  public:
-  /// Default for SetClosureNodeLimit: above this node count snapshots use
-  /// DFS intervals (+ BFS fallback) instead of the O(V^2)-bit closure.
-  static constexpr size_t kDefaultClosureNodeLimit = 8192;
-
   Dag() = default;
 
   Dag(const Dag& other) { CopyFrom(other); }
@@ -184,32 +142,24 @@ class Dag {
   /// transitive reduction of a DAG is unique and contains no such edge.
   bool HasRedundantEdge() const;
 
-  /// Reachability row for n: bit i set iff node i is reachable from n.
-  /// Served from the closure-backed snapshot; requires
-  /// capacity() <= closure_node_limit().
-  const DynamicBitset& ClosureRow(NodeId n) const;
-
-  /// The current reachability snapshot, building it if stale. The returned
-  /// shared_ptr keeps the snapshot valid across subsequent Dag mutations,
-  /// so batch jobs can pin one consistent view for their whole run.
-  std::shared_ptr<const ReachabilitySnapshot> reachability() const;
-
-  /// Sets the node-count threshold above which snapshots switch from the
-  /// bitset closure to DFS intervals + BFS fallback. A mutation (single
-  /// writer, like all mutations); invalidates the current snapshot.
-  void SetClosureNodeLimit(size_t limit);
-
-  size_t closure_node_limit() const { return closure_node_limit_; }
-
  private:
-  bool ReachableBfs(NodeId u, NodeId v) const;
-  void InvalidateClosure() {
-    snapshot_ptr_.store(nullptr, std::memory_order_release);
+  /// Per-node label of the reachability index: 12 bytes.
+  struct Label {
+    uint32_t enter = 0;
+    uint32_t exit = 0;
+    NodeId up = kInvalidNode;
+  };
+
+  void InvalidateIndex() {
+    index_valid_.store(false, std::memory_order_release);
   }
-  /// Builds and publishes the snapshot if none is current; returns the
-  /// published snapshot (kept alive by snapshot_).
-  const ReachabilitySnapshot* EnsureSnapshot() const;
-  std::shared_ptr<const ReachabilitySnapshot> BuildSnapshot() const;
+  /// Builds the index if it is stale; safe to race from concurrent queries.
+  void EnsureIndex() const;
+  /// True if u's DFS range contains v's: u reaches v along first parents.
+  bool Contains(NodeId u, NodeId v) const {
+    return labels_[u].enter <= labels_[v].enter &&
+           labels_[v].exit <= labels_[u].exit;
+  }
   void CopyFrom(const Dag& other);
 
   std::vector<std::vector<NodeId>> out_;
@@ -217,14 +167,14 @@ class Dag {
   std::vector<bool> alive_;
   size_t num_alive_ = 0;
   size_t num_edges_ = 0;
-  size_t closure_node_limit_ = kDefaultClosureNodeLimit;
 
-  // Snapshot publication: built under cache_mutex_ (double-checked), then
-  // exposed through snapshot_ptr_ so queries are lock-free. snapshot_
-  // owns the object; snapshot_ptr_ is null when stale.
+  // Index publication: labels_ is rebuilt under cache_mutex_ (double
+  // checked) and published by the release store of index_valid_, so queries
+  // that see it true read labels_ without a lock. Only a mutation clears it,
+  // and no query overlaps a mutation.
   mutable std::mutex cache_mutex_;
-  mutable std::shared_ptr<const ReachabilitySnapshot> snapshot_;
-  mutable std::atomic<const ReachabilitySnapshot*> snapshot_ptr_{nullptr};
+  mutable std::vector<Label> labels_;
+  mutable std::atomic<bool> index_valid_{false};
 };
 
 }  // namespace hirel

@@ -198,23 +198,6 @@ class Hierarchy {
   /// Direct access to the underlying DAG (read-only).
   const Dag& dag() const { return dag_; }
 
-  /// Pins the current reachability snapshot of the subsumption DAG: the
-  /// immutable, lock-free view that Subsumes (and through it ComputeBinding
-  /// and every parallel kernel) queries. The returned pointer stays valid —
-  /// and consistent with this hierarchy's current version stamp — even if
-  /// the hierarchy mutates afterwards; mutations publish a fresh snapshot
-  /// for later queries instead of touching this one.
-  std::shared_ptr<const ReachabilitySnapshot> reachability() const {
-    return dag_.reachability();
-  }
-
-  /// See Dag::SetClosureNodeLimit. A structural mutation: bumps the
-  /// version stamp and invalidates the current snapshot.
-  void SetClosureNodeLimit(size_t limit) {
-    dag_.SetClosureNodeLimit(limit);
-    version_ = NextRevision();
-  }
-
  private:
   Result<NodeId> AddNode(NodeKind kind, std::string class_name, Value value,
                          NodeId parent);

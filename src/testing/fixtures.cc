@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 
 #include "common/str_util.h"
 #include "core/conflict.h"
@@ -281,6 +282,25 @@ SubsumptionGraph PairwiseSubsumptionGraph(
     }
   }
   return graph;
+}
+
+bool ReachableByBfs(const Dag& dag, NodeId u, NodeId v) {
+  if (!dag.alive(u) || !dag.alive(v)) return false;
+  std::vector<bool> seen(dag.capacity(), false);
+  std::deque<NodeId> queue{u};
+  seen[u] = true;
+  while (!queue.empty()) {
+    NodeId cur = queue.front();
+    queue.pop_front();
+    if (cur == v) return true;
+    for (NodeId next : dag.Children(cur)) {
+      if (!seen[next]) {
+        seen[next] = true;
+        queue.push_back(next);
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace testing

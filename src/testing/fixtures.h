@@ -140,6 +140,10 @@ Hierarchy* BuildTreeHierarchy(Database& db, const std::string& name,
 /// canonical form as BuildSubsumptionGraph. Serial, no bitsets.
 SubsumptionGraph PairwiseSubsumptionGraph(const HierarchicalRelation& relation);
 
+/// Reachability straight from its definition, as the oracle of Dag's index:
+/// a downward BFS from u over live edges. u == v counts as reachable.
+bool ReachableByBfs(const Dag& dag, NodeId u, NodeId v);
+
 }  // namespace testing
 }  // namespace hirel
 

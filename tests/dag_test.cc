@@ -54,6 +54,19 @@ TEST(DagTest, Reachability) {
   EXPECT_TRUE(d.Reachable(1, 3));
   EXPECT_FALSE(d.Reachable(3, 0));
   EXPECT_FALSE(d.Reachable(1, 2));
+  // Node 3's first parent is 1, so its spanning-forest range lies inside
+  // 1's only: 2 reaches it through the non-first parent edge 2 -> 3.
+  EXPECT_TRUE(d.Reachable(2, 3));
+  // All 16 answers.
+  const bool expected[4][4] = {{true, true, true, true},
+                               {false, true, false, true},
+                               {false, false, true, true},
+                               {false, false, false, true}};
+  for (NodeId u = 0; u < 4; ++u) {
+    for (NodeId v = 0; v < 4; ++v) {
+      EXPECT_EQ(d.Reachable(u, v), expected[u][v]) << "u=" << u << " v=" << v;
+    }
+  }
 }
 
 TEST(DagTest, TopologicalOrderRespectsEdges) {
@@ -221,12 +234,12 @@ TEST_P(DagEliminationProperty, PreservesRestrictedReachability) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DagEliminationProperty,
                          ::testing::Range<uint64_t>(0, 25));
 
-// Above the closure-cache node limit, reachability switches to the
-// spanning-forest interval fast path (complete on single-parent graphs)
-// with a BFS fallback for multi-parent nodes.
+// Graphs of 9,000 nodes: a chain answers every query from the
+// spanning-forest ranges alone; a join of two chains needs the walk over
+// non-first parents.
 TEST(DagTest, LargeChainUsesIntervalFastPath) {
   Dag d;
-  constexpr size_t kNodes = 9000;  // beyond the closure limit
+  constexpr size_t kNodes = 9000;
   for (size_t i = 0; i < kNodes; ++i) d.AddNode();
   for (size_t i = 0; i + 1 < kNodes; ++i) {
     ASSERT_TRUE(
@@ -256,68 +269,27 @@ TEST(DagTest, LargeGraphMultiParentFallbackIsCorrect) {
   ASSERT_TRUE(d.AddEdge(3999, join).ok());
   ASSERT_TRUE(d.AddEdge(7999, join).ok());
   EXPECT_TRUE(d.Reachable(0, join));     // via first-parent tree
-  EXPECT_TRUE(d.Reachable(4000, join));  // needs the BFS fallback
+  EXPECT_TRUE(d.Reachable(4000, join));  // via the non-first parent 7999
   EXPECT_TRUE(d.Reachable(7000, join));
   EXPECT_FALSE(d.Reachable(join, 0));
   EXPECT_FALSE(d.Reachable(8600, join));  // isolated node
-  // Mutation invalidates the interval index.
+  // Mutation invalidates the index.
   ASSERT_TRUE(d.RemoveEdge(3999, join).ok());
   EXPECT_FALSE(d.Reachable(0, join));
   EXPECT_TRUE(d.Reachable(4000, join));
 }
 
-TEST(DagTest, ClosureRowMatchesReachability) {
-  Dag d = Diamond();
-  const DynamicBitset& row = d.ClosureRow(0);
-  for (NodeId v = 0; v < 4; ++v) {
-    EXPECT_EQ(row.Test(v), d.Reachable(0, v));
-  }
-}
-
+// The index built for one version must not answer for the next.
 TEST(DagTest, ClosureInvalidatedByMutation) {
   Dag d = Diamond();
   EXPECT_TRUE(d.Reachable(0, 3));
+  EXPECT_TRUE(d.Reachable(2, 3));
   ASSERT_TRUE(d.RemoveEdge(1, 3).ok());
+  // 2 is now node 3's first (and only) parent.
+  EXPECT_FALSE(d.Reachable(1, 3));
+  EXPECT_TRUE(d.Reachable(0, 3));
   ASSERT_TRUE(d.RemoveEdge(2, 3).ok());
   EXPECT_FALSE(d.Reachable(0, 3));
-}
-
-TEST(DagTest, SetClosureNodeLimitSwitchesToBfsFallback) {
-  Dag d = Diamond();
-  EXPECT_TRUE(d.reachability()->closure_backed());
-
-  // Record every answer from the closure-backed snapshot.
-  bool closure_answers[4][4];
-  for (NodeId u = 0; u < 4; ++u) {
-    for (NodeId v = 0; v < 4; ++v) closure_answers[u][v] = d.Reachable(u, v);
-  }
-
-  // Dropping the limit below the node count forces the interval snapshot.
-  // The diamond's node 3 has two parents, so only one (the first parent)
-  // carries it in the spanning forest: Reachable(2, 3) is exactly the
-  // query the intervals cannot decide and the BFS fallback must answer.
-  d.SetClosureNodeLimit(2);
-  EXPECT_EQ(d.closure_node_limit(), 2u);
-  std::shared_ptr<const ReachabilitySnapshot> snap = d.reachability();
-  EXPECT_FALSE(snap->closure_backed());
-  EXPECT_FALSE(snap->complete());  // multi-parent: BFS fallback in play
-  EXPECT_EQ(snap->Query(2, 3), ReachabilitySnapshot::Answer::kUnknown);
-  for (NodeId u = 0; u < 4; ++u) {
-    for (NodeId v = 0; v < 4; ++v) {
-      EXPECT_EQ(d.Reachable(u, v), closure_answers[u][v])
-          << "u=" << u << " v=" << v;
-    }
-  }
-
-  // A pinned snapshot stays valid and consistent across later mutations.
-  ASSERT_TRUE(d.RemoveEdge(1, 3).ok());
-  ASSERT_TRUE(d.RemoveEdge(2, 3).ok());
-  EXPECT_FALSE(d.Reachable(0, 3));
-  EXPECT_EQ(snap->Query(1, 3), ReachabilitySnapshot::Answer::kYes);
-
-  // Restoring a generous limit brings the closure representation back.
-  d.SetClosureNodeLimit(Dag::kDefaultClosureNodeLimit);
-  EXPECT_TRUE(d.reachability()->closure_backed());
 }
 
 }  // namespace

@@ -145,7 +145,9 @@ PYEOF
 # arm (/0) at 10^4 tuples, and (d) cost at most 3x as much at 10^4 tuples
 # as at 10^3; (e) end to end through HQL, the RETRACT + ASSERT + COUNT loop
 # (BM_HqlMutateCountLoop/N) must grow at most 25x from 10^3 to 10^4
-# tuples. Each gate applies when its rows are present (a
+# tuples; (f) hierarchy DDL (BM_HierarchyBulkLoad/N, N instances each under
+# a leaf and a brand) must grow at most 15x in time per instance from 10^3
+# to 10^4 instances. Each gate applies when its rows are present (a
 # --benchmark_filter may select a subset).
 if [ -e BENCH_incremental.json ]; then
   inc_cores=$(sed -n 's/^[[:space:]]*"num_cpus":[[:space:]]*\([0-9]*\).*/\1/p' \
@@ -249,6 +251,16 @@ if "1" in guarded.get(1000, {}) and "1" in arms:
 
 # The same loop end to end, through the executor.
 growth_gate("BM_HqlMutateCountLoop", 1000, 10000, 25.0)
+
+# Hierarchy DDL, hardware-independent: growth of the time per instance.
+bulk = sized("BM_HierarchyBulkLoad")
+if 1000 in bulk and 10000 in bulk:
+    growth = (bulk[10000] / 10000) / (bulk[1000] / 1000)
+    print(f"==== BM_HierarchyBulkLoad growth gate: {growth:.1f}x time per "
+          f"instance from 1000 to 10000 instances (maximum 15x) ====")
+    if growth > 15.0:
+        failed = True
+        print("  FAIL: hierarchy DDL per instance grows more than 15x")
 
 if failed:
     sys.exit(1)

@@ -178,12 +178,13 @@ for preset in "${presets[@]}"; do
     python3 bench_e2e/smoke.py
 
     # The gates of tools/bench.sh: guarded writes (delta check against the
-    # full check, and its growth from 10^3 to 10^4 tuples), and the growth
-    # per decade of the mutate-then-rebuild loop, kernel and end to end.
-    echo "==== ${preset}: guarded-write and mutate-then-query bench gates ===="
+    # full check, and its growth from 10^3 to 10^4 tuples), the growth per
+    # decade of the mutate-then-rebuild loop, kernel and end to end, and the
+    # growth per instance of bulk hierarchy DDL.
+    echo "==== ${preset}: guarded-write, mutate-then-query and DDL bench gates ===="
     gate_summary="$(mktemp)"
     tools/bench.sh "build/${preset}" "${gate_summary}" \
-        '--benchmark_filter=BM_GuardedMutate|BM_HqlMutateCountLoop|BM_MutateThenGetGraph'
+        '--benchmark_filter=BM_GuardedMutate|BM_HqlMutateCountLoop|BM_MutateThenGetGraph|BM_HierarchyBulkLoad'
     rm -f "${gate_summary}"
   fi
 done
